@@ -8,38 +8,15 @@ harness, and ``verify`` numerical checks of the bound claims.
 
 from .bandwidth import (
     BandwidthResult,
-    JacobianParams,
-    Regime,
-    approx_jacobian_norm,
-    jacobian_factors,
-    jacobian_sigma,
-    lambda_threshold,
     select_bandwidth,
     select_cv,
     select_jacobian,
     select_seeded_cv,
     select_silverman,
 )
-from .data import (
-    CsvFormatError,
-    Dataset,
-    SplitPlan,
-    generate_synthetic,
-    load_csv,
-    make_jackknife,
-    make_kfold,
-    write_csv,
-)
-from .kernel import (
-    KernelConfig,
-    gaussian,
-    kernel_gradient_norm,
-    kernel_matrix,
-    max_pairwise_distance,
-)
-from .krr import KrrModel, fit, gradient_fd, load_model, predict, save_model
-from .lambertw import NEGATIVE, PRINCIPAL, lambert_w
-from .linalg import FactorizationError, SpdSolve, factor_spd, singular_extremes, solve
+from .data import CsvFormatError, Dataset, generate_synthetic, load_csv, write_csv
+from .krr import KrrModel, fit, load_model, predict, save_model
+from .linalg import FactorizationError
 
 __version__ = "0.1.0"
 
@@ -48,31 +25,11 @@ __all__ = [
     "CsvFormatError",
     "Dataset",
     "FactorizationError",
-    "JacobianParams",
-    "KernelConfig",
     "KrrModel",
-    "NEGATIVE",
-    "PRINCIPAL",
-    "Regime",
-    "SpdSolve",
-    "SplitPlan",
-    "approx_jacobian_norm",
-    "factor_spd",
     "fit",
-    "gaussian",
     "generate_synthetic",
-    "gradient_fd",
-    "jacobian_factors",
-    "jacobian_sigma",
-    "kernel_gradient_norm",
-    "kernel_matrix",
-    "lambda_threshold",
-    "lambert_w",
     "load_csv",
     "load_model",
-    "make_jackknife",
-    "make_kfold",
-    "max_pairwise_distance",
     "predict",
     "save_model",
     "select_bandwidth",
@@ -80,7 +37,5 @@ __all__ = [
     "select_jacobian",
     "select_seeded_cv",
     "select_silverman",
-    "singular_extremes",
-    "solve",
     "write_csv",
 ]

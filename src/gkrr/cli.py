@@ -10,22 +10,17 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import sys
 
 import numpy as np
 
 from . import bandwidth, evaluate, krr, plotting, verify
-from .data import CsvFormatError, Dataset, generate_synthetic, load_csv, write_csv
+from .data import CsvFormatError, Dataset, _fmt, generate_synthetic, load_csv, read_rows, write_csv
 from .linalg import FactorizationError
 
 
 class _InputError(Exception):
     """User-input problem (bad file, incompatible flags): exit code 2."""
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_values(text: str) -> list[float]:
@@ -55,55 +50,29 @@ def _parse_test_size(text: str):
     return v if v < 1.0 else int(round(v))
 
 
-def _load_dataset(path, has_header: bool) -> Dataset:
-    try:
-        return load_csv(path, has_header=has_header)
-    except (CsvFormatError, OSError) as exc:
-        raise _InputError(str(exc)) from exc
-
-
 def _load_features(path, has_header: bool, expected_p: int) -> np.ndarray:
     """Read a feature-only CSV (exactly ``expected_p`` numeric columns)."""
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for line_no, record in enumerate(_csv.reader(fh)):
-                if not record:
-                    continue
-                if has_header and line_no == 0:
-                    continue
-                if len(record) != expected_p:
-                    raise _InputError(
-                        f"{path}: row {len(rows) + 1} has {len(record)} columns, "
-                        f"model expects {expected_p}"
-                    )
-                try:
-                    rows.append([float(tok) for tok in record])
-                except ValueError as exc:
-                    raise _InputError(f"{path}: row {len(rows) + 1}: {exc}") from None
-    except OSError as exc:
-        raise _InputError(str(exc)) from exc
-    if not rows:
-        raise _InputError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    X = read_rows(path, has_header)
+    if X.shape[1] != expected_p:
+        raise _InputError(f"{path}: rows have {X.shape[1]} columns, model expects {expected_p}")
+    return X
 
 
-def _explicit_grid(args, l_max_source: Dataset | None):
-    """Build a CV grid when --grid-max is given; otherwise defer to defaults."""
-    if args.grid_max is None:
-        return None
-    if args.grid_max <= args.grid_min:
-        raise _InputError("--grid-max must exceed --grid-min")
-    return np.geomspace(args.grid_min, args.grid_max, args.grid_size)
-
-
-def cmd_select(args) -> int:
-    data = _load_dataset(args.input, args.header)
-    grid = _explicit_grid(args, data)
-    res = bandwidth.select_bandwidth(
+def _select(args, data: Dataset) -> bandwidth.BandwidthResult:
+    """Run the --method selector; --grid-max gives CV an explicit log grid."""
+    grid = None
+    if args.grid_max is not None:
+        if args.grid_max <= args.grid_min:
+            raise _InputError("--grid-max must exceed --grid-min")
+        grid = np.geomspace(args.grid_min, args.grid_max, args.grid_size)
+    return bandwidth.select_bandwidth(
         args.method, data, args.lam, folds=args.folds, grid=grid,
         grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
     )
+
+
+def cmd_select(args) -> int:
+    res = _select(args, load_csv(args.input, args.header))
     print(f"sigma={_fmt(res.sigma)}")
     print(f"method={res.method}")
     if res.regime is not None:
@@ -119,17 +88,13 @@ def cmd_select(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    data = _load_dataset(args.input, args.header)
+    data = load_csv(args.input, args.header)
     if args.sigma is not None:
         if args.sigma <= 0:
             raise _InputError("--sigma must be positive")
         sigma = args.sigma
     else:
-        grid = _explicit_grid(args, data)
-        sigma = bandwidth.select_bandwidth(
-            args.method, data, args.lam, folds=args.folds, grid=grid,
-            grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
-        ).sigma
+        sigma = _select(args, data).sigma
     model = krr.fit(data, sigma, args.lam)
     krr.save_model(model, args.output)
     print(f"sigma={_fmt(sigma)}")
@@ -168,7 +133,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise _InputError("--values is empty")
     methods = _parse_methods(args.methods)
-    data = _load_dataset(args.input, args.header) if args.input else None
+    data = load_csv(args.input, args.header) if args.input else None
     test_size = _parse_test_size(args.test_size)
     if args.axis == evaluate.AXIS_N:
         kwargs = {"fixed_lambda": args.lam}
@@ -191,7 +156,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_jackknife(args) -> int:
-    data = _load_dataset(args.input, args.header)
+    data = load_csv(args.input, args.header)
     methods = _parse_methods(args.methods)
     if not 0.0 <= args.holdout < 1.0:
         raise _InputError("--holdout must be in [0, 1)")
@@ -412,14 +377,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, CsvFormatError, OSError) as exc:
         print(f"gkrr: input error: {exc}", file=sys.stderr)
         return 2
-    except (CsvFormatError, OSError) as exc:
-        print(f"gkrr: input error: {exc}", file=sys.stderr)
-        return 2
-    except (FactorizationError, ValueError, ZeroDivisionError, RuntimeError,
-            np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (FactorizationError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"gkrr: error: {exc}", file=sys.stderr)
         return 3
 

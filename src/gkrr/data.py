@@ -11,7 +11,8 @@ fixture is reproducible across platforms from its integer seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +79,6 @@ class SplitPlan:
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         tr = np.asarray(self.train_indices, dtype=np.int64)
@@ -91,11 +91,12 @@ class SplitPlan:
         object.__setattr__(self, "test_indices", _freeze(te))
 
 
-def load_csv(path, has_header: bool = False) -> Dataset:
-    """Read a dataset from ``path``; the last column is the response.
+def read_rows(path, has_header: bool = False) -> np.ndarray:
+    """Parse a numeric CSV at ``path`` into a (rows x fields) float array.
 
     Parse failures name the offending data row (1-based, header excluded)
-    and column. Ragged rows and non-finite values are rejected.
+    and column. Ragged rows, non-finite values and files without data rows
+    are rejected.
     """
     rows = []
     n_fields = None
@@ -109,11 +110,6 @@ def load_csv(path, has_header: bool = False) -> Dataset:
             row_no = len(rows) + 1
             if n_fields is None:
                 n_fields = len(record)
-                if n_fields < 2:
-                    raise CsvFormatError(
-                        f"{path}: row {row_no} has {n_fields} field(s); "
-                        "need at least one feature column plus the response"
-                    )
             elif len(record) != n_fields:
                 raise CsvFormatError(
                     f"{path}: row {row_no} has {len(record)} fields, expected {n_fields}"
@@ -127,7 +123,7 @@ def load_csv(path, has_header: bool = False) -> Dataset:
                         f"{path}: row {row_no}, column {col_no}: "
                         f"cannot parse {token!r} as a number"
                     ) from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise CsvFormatError(
                         f"{path}: row {row_no}, column {col_no}: non-finite value {token!r}"
                     )
@@ -135,7 +131,21 @@ def load_csv(path, has_header: bool = False) -> Dataset:
             rows.append(values)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
+    return np.asarray(rows, dtype=float)
+
+
+def load_csv(path, has_header: bool = False) -> Dataset:
+    """Read a dataset from ``path``; the last column is the response.
+
+    Rows are parsed by ``read_rows``; a file needs at least two fields per
+    row (one feature plus the response).
+    """
+    arr = read_rows(path, has_header)
+    if arr.shape[1] < 2:
+        raise CsvFormatError(
+            f"{path}: row 1 has {arr.shape[1]} field(s); "
+            "need at least one feature column plus the response"
+        )
     return Dataset(arr[:, :-1], arr[:, -1])
 
 
@@ -185,7 +195,7 @@ def make_kfold(n: int, k: int, seed: int = 0) -> list[SplitPlan]:
         size = base + (1 if i < extra else 0)
         test = np.sort(perm[start : start + size])
         train = np.sort(np.concatenate([perm[:start], perm[start + size :]]))
-        plans.append(SplitPlan(train_indices=train, test_indices=test, seed=seed))
+        plans.append(SplitPlan(train_indices=train, test_indices=test))
         start += size
     return plans
 

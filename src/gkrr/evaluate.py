@@ -19,7 +19,7 @@ import numpy as np
 
 from . import krr
 from .bandwidth import METHODS, select_bandwidth
-from .data import Dataset, generate_synthetic, make_jackknife
+from .data import Dataset, _fmt, generate_synthetic, make_jackknife
 from .linalg import FactorizationError
 
 AXIS_N = "n"
@@ -29,10 +29,6 @@ SWEEP_CSV_COLUMNS = (
     "axis,axis_value,method,mean_r2,p05_r2,p95_r2,"
     "mean_sigma,p05_sigma,p95_sigma,sd_sigma,excluded,repeats,seed"
 )
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _derived_seed(*parts: int) -> int:

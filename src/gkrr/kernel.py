@@ -8,22 +8,7 @@ diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Validated Gaussian kernel bandwidth (length scale of the kernel)."""
-
-    sigma: float
-
-    def __post_init__(self):
-        s = float(self.sigma)
-        if not np.isfinite(s) or s <= 0.0:
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-        object.__setattr__(self, "sigma", s)
 
 
 def _check_sigma(sigma: float) -> float:
@@ -31,18 +16,6 @@ def _check_sigma(sigma: float) -> float:
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     return sigma
-
-
-def gaussian(d_squared, sigma: float):
-    """exp(-d^2 / (2 sigma^2)) for squared distance(s) ``d_squared``.
-
-    Equals 1 exactly when the squared distance is 0. Accepts scalars or
-    arrays; the shape of the input is preserved.
-    """
-    sigma = _check_sigma(sigma)
-    d2 = np.asarray(d_squared, dtype=float)
-    out = np.exp(-d2 / (2.0 * sigma * sigma))
-    return float(out) if np.isscalar(d_squared) else out
 
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _fmt
 from .kernel import kernel_matrix
 from .linalg import FactorizationError, factor_spd, solve
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)

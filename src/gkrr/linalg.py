@@ -40,10 +40,9 @@ def _check_square_symmetric(M: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpdSolve:
-    """Lower-triangular Cholesky factor of K + shift*I."""
+    """Lower-triangular Cholesky factor of K + lam*I."""
 
     factor: np.ndarray
-    shift: float
 
     @property
     def n(self) -> int:
@@ -72,11 +71,11 @@ def factor_spd(K: np.ndarray, lam: float = 0.0) -> SpdSolve:
     if info < 0:
         raise ValueError(f"invalid argument {-info} passed to dpotrf")
     c.setflags(write=False)
-    return SpdSolve(factor=c, shift=lam)
+    return SpdSolve(factor=c)
 
 
 def solve(s: SpdSolve, b: np.ndarray) -> np.ndarray:
-    """Solve (K + shift*I) x = b using the stored factor."""
+    """Solve (K + lam*I) x = b using the stored factor."""
     b = np.asarray(b, dtype=float)
     if b.shape[0] != s.n:
         raise ValueError(f"b has length {b.shape[0]}, expected {s.n}")

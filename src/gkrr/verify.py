@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import JacobianParams, Regime, approx_jacobian_norm, classify_regime, jacobian_sigma
-from .data import Dataset
+from .data import Dataset, _fmt
 from .kernel import gradient_one_norm_bound, kernel_gradient_norm, kernel_matrix, max_pairwise_distance
 from .krr import fit, gradient_fd
 from .lambertw import NEGATIVE
@@ -35,10 +35,6 @@ CLAIM_PROP3 = "prop3-gradmax"
 CLAIM_PROP4 = "prop4-inverse-norm"
 CLAIM_BERMANIS = "bermanis-count"
 CLAIMS = (CLAIM_PROP1, CLAIM_PROP2, CLAIM_PROP3, CLAIM_PROP4, CLAIM_BERMANIS)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)

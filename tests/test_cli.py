@@ -130,6 +130,21 @@ class TestFitPredict:
         assert code == 2
         assert "columns" in err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_query_exit_2(self, capsys, tmp_path, ten_point_file, token):
+        model_path = tmp_path / "model.csv"
+        run_cli(capsys, "fit", "--input", str(ten_point_file), "--output", str(model_path))
+        feat_path = tmp_path / "q.csv"
+        feat_path.write_text(f"0.1\n{token}\n0.3\n")
+        pred_path = tmp_path / "p.csv"
+        code, _, err = run_cli(
+            capsys, "predict", "--model", str(model_path), "--input", str(feat_path),
+            "--output", str(pred_path),
+        )
+        assert code == 2
+        assert "row 2, column 1" in err and "non-finite" in err
+        assert not pred_path.exists()
+
     def test_sigma_override(self, capsys, tmp_path, ten_point_file):
         model_path = tmp_path / "model.csv"
         code, out, _ = run_cli(

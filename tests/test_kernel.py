@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkrr.kernel import (
-    KernelConfig,
-    gaussian,
     gradient_one_norm_bound,
     kernel_gradient_norm,
     kernel_matrix,
@@ -27,40 +25,45 @@ def kernel_matrix_oracle(A, B, sigma):
     return K
 
 
+def k_at(d, sigma):
+    """Kernel value at distance d, from kernel_matrix on 1-row inputs 0 and d."""
+    return kernel_matrix(np.array([[0.0]]), np.array([[d]]), sigma)[0, 0]
+
+
 class TestGaussian:
     def test_zero_distance(self):
-        assert gaussian(0.0, 3.7) == 1.0
+        assert kernel_matrix(np.array([[2.5]]), np.array([[2.5]]), 3.7)[0, 0] == 1.0
+        assert k_at(0.0, 3.7) == 1.0
 
     def test_at_one_bandwidth(self):
         s = 1.3
-        assert gaussian(s * s, s) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert k_at(s, s) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_half_value(self):
         s = 0.4
-        assert gaussian(2 * s * s * math.log(2), s) == pytest.approx(0.5, rel=1e-14)
+        assert k_at(s * math.sqrt(2 * math.log(2)), s) == pytest.approx(0.5, rel=1e-14)
 
     def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            gaussian(1.0, 0.0)
-        with pytest.raises(ValueError):
-            gaussian(1.0, -1.0)
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                k_at(1.0, sigma)
 
     @given(
-        st.floats(1e-6, 1e6),
-        st.floats(1e-6, 1e6),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
         st.floats(1e-3, 1e3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_monotonicity(self, d2a, d2b, sigma):
-        lo, hi = sorted((d2a, d2b))
+    def test_monotonicity(self, da, db, sigma):
+        lo, hi = sorted((da, db))
         if lo == hi:
             return
-        # strictly decreasing in d^2 (until underflow flattens both to 0)
-        ga, gb = gaussian(lo, sigma), gaussian(hi, sigma)
-        assert ga > gb or (ga == gb == 0.0)
-        # strictly increasing in sigma for d^2 > 0
-        g1, g2 = gaussian(lo, sigma), gaussian(lo, 2 * sigma)
-        assert g2 > g1 or (g1 == g2 == 0.0)
+        # strictly decreasing in d (until underflow flattens both to 0)
+        ka, kb = k_at(lo, sigma), k_at(hi, sigma)
+        assert ka > kb or (ka == kb == 0.0)
+        # strictly increasing in sigma for d > 0
+        k1, k2 = k_at(lo, sigma), k_at(lo, 2 * sigma)
+        assert k2 > k1 or (k1 == k2 == 0.0)
 
 
 class TestKernelMatrix:
@@ -165,11 +168,3 @@ class TestGradientOneNormBound:
             for i in range(8)
         )
         assert val >= radial - 1e-15
-
-
-def test_kernel_config_validation():
-    assert KernelConfig(1.5).sigma == 1.5
-    with pytest.raises(ValueError):
-        KernelConfig(0.0)
-    with pytest.raises(ValueError):
-        KernelConfig(float("nan"))
