@@ -10,12 +10,14 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import bandwidth, evaluate, krr, plotting, verify
-from .data import CsvFormatError, Dataset, _fmt, generate_synthetic, load_csv, read_rows, write_csv
+from .data import CsvFormatError, Dataset, _fmt, format_table, generate_synthetic, load_csv
+from .data import read_rows, write_csv, write_text
 from .linalg import FactorizationError
 
 
@@ -50,12 +52,11 @@ def _parse_test_size(text: str):
     return v if v < 1.0 else int(round(v))
 
 
-def _load_features(path, has_header: bool, expected_p: int) -> np.ndarray:
-    """Read a feature-only CSV (exactly ``expected_p`` numeric columns)."""
-    X = read_rows(path, has_header)
-    if X.shape[1] != expected_p:
-        raise _InputError(f"{path}: rows have {X.shape[1]} columns, model expects {expected_p}")
-    return X
+def _sigma_flag(args) -> float | None:
+    """--sigma as given (None when absent); a flag error unless positive and finite."""
+    if args.sigma is not None and not 0 < args.sigma < math.inf:
+        raise _InputError("--sigma must be positive and finite")
+    return args.sigma
 
 
 def _select(args, data: Dataset) -> bandwidth.BandwidthResult:
@@ -80,20 +81,14 @@ def cmd_select(args) -> int:
         print(f"clamped={'true' if res.clamped else 'false'}")
         print(f"j2a={_fmt(res.j2a_at_sigma)}")
     if args.output and res.cv_curve is not None:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write("sigma,mean_loss\n")
-            for s, loss in res.cv_curve:
-                fh.write(f"{_fmt(s)},{_fmt(loss)}\n")
+        write_text(args.output, format_table(res.cv_curve, ["sigma", "mean_loss"]))
     return 0
 
 
 def cmd_fit(args) -> int:
     data = load_csv(args.input, args.header)
-    if args.sigma is not None:
-        if args.sigma <= 0:
-            raise _InputError("--sigma must be positive")
-        sigma = args.sigma
-    else:
+    sigma = _sigma_flag(args)
+    if sigma is None:
         sigma = _select(args, data).sigma
     model = krr.fit(data, sigma, args.lam)
     krr.save_model(model, args.output)
@@ -108,11 +103,11 @@ def cmd_predict(args) -> int:
         model = krr.load_model(args.model)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
-    X = _load_features(args.input, args.header, model.p)
+    X = read_rows(args.input, args.header)
+    if X.shape[1] != model.p:
+        raise _InputError(f"{args.input}: rows have {X.shape[1]} columns, model expects {model.p}")
     preds = krr.predict(model, X)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        for v in preds:
-            fh.write(_fmt(v) + "\n")
+    write_text(args.output, format_table(zip(preds.tolist())))
     print(f"predictions={len(preds)}")
     return 0
 
@@ -135,6 +130,8 @@ def cmd_sweep(args) -> int:
     methods = _parse_methods(args.methods)
     data = load_csv(args.input, args.header) if args.input else None
     test_size = _parse_test_size(args.test_size)
+    if isinstance(test_size, float) and data is None:
+        raise _InputError("a fractional --test-size needs --input")
     if args.axis == evaluate.AXIS_N:
         kwargs = {"fixed_lambda": args.lam}
         values = [int(v) for v in values]
@@ -148,8 +145,7 @@ def cmd_sweep(args) -> int:
         folds=args.folds, grid_size=args.grid_size, grid_min=args.grid_min,
         seed=args.seed, threads=args.threads, **kwargs,
     )
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(evaluate.sweep_to_csv(report))
+    write_text(args.output, evaluate.sweep_to_csv(report))
     print(f"points={len(report.points)}")
     print(f"report={args.output}")
     return 0
@@ -160,6 +156,8 @@ def cmd_jackknife(args) -> int:
     methods = _parse_methods(args.methods)
     if not 0.0 <= args.holdout < 1.0:
         raise _InputError("--holdout must be in [0, 1)")
+    if args.eval_points < 1:
+        raise _InputError("--eval-points must be >= 1")
     if args.holdout > 0.0:
         # reserve a seeded random reference slice; jackknife the remainder
         # and evaluate on the reference features
@@ -184,8 +182,7 @@ def cmd_jackknife(args) -> int:
         grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
         threads=args.threads,
     )
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(evaluate.jackknife_to_csv(report))
+    write_text(args.output, evaluate.jackknife_to_csv(report))
     for m in report.methods:
         print(
             f"method={m} mean_sigma={_fmt(report.mean_sigma[m])} "
@@ -213,6 +210,7 @@ def _verify_points(args) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     claim = _CLAIM_FLAGS[args.claim]
+    sigma = _sigma_flag(args)
     if claim == verify.CLAIM_PROP1:
         params = bandwidth.JacobianParams(n=args.n, p=args.p, l_max=args.lmax, lam=args.lam)
         report = verify.check_prop1_regimes(params)
@@ -223,15 +221,16 @@ def cmd_verify(args) -> int:
             rng = np.random.default_rng(args.seed)
             data = Dataset(rng.uniform(0.0, 1.0, size=(args.n, args.p)),
                            rng.normal(0.0, 1.0, size=args.n))
-        sigma = args.sigma or bandwidth.select_jacobian(data.features, args.lam).sigma
+        if sigma is None:
+            sigma = bandwidth.select_jacobian(data.features, args.lam).sigma
         report = verify.check_prop2_chain(data, sigma, args.lam,
                                           trials=args.trials, seed=args.seed)
     elif claim == verify.CLAIM_PROP3:
-        sigma = args.sigma or 1.0
-        report = verify.check_prop3_gradmax(sigma)
+        report = verify.check_prop3_gradmax(1.0 if sigma is None else sigma)
     else:
         X = _verify_points(args)
-        sigma = args.sigma or bandwidth.select_jacobian(X, args.lam).sigma
+        if sigma is None:
+            sigma = bandwidth.select_jacobian(X, args.lam).sigma
         if claim == verify.CLAIM_PROP4:
             report = verify.check_prop4(X, sigma, args.lam)
         else:
@@ -243,7 +242,7 @@ def cmd_verify(args) -> int:
     )
     print(f"config={report.config}")
     if args.output:
-        verify.write_reports_csv([report], args.output)
+        write_text(args.output, verify.reports_to_csv([report]))
     return 0
 
 

@@ -1,8 +1,8 @@
 """Data model, CSV ingestion, synthetic data, and split/resample plans.
 
-CSV convention: comma-delimited UTF-8, optional single header row, the last
-column is the response and all preceding columns are features. Written files
-carry 17 significant digits so that float64 values round-trip exactly.
+Every file gkrr writes or reads is one table format, kept here: comma-joined
+fields, floats at 17 significant digits (float64 round-trips exactly), ints and
+strings as written, ``\n`` after each line, UTF-8; readers skip blank lines.
 
 All randomness goes through ``numpy.random.default_rng`` (PCG64), so any
 fixture is reproducible across platforms from its integer seed.
@@ -18,11 +18,37 @@ import numpy as np
 
 
 class CsvFormatError(ValueError):
-    """Raised when a CSV file cannot be parsed into a valid dataset."""
+    """Raised when a table file cannot be read or parsed into valid values."""
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _field(v) -> str:
+    return _fmt(v) if isinstance(v, (float, np.floating)) else str(v)
+
+
+def format_table(rows, header=None) -> str:
+    """One comma-joined line per row, each ending in ``\n``; floats (numpy
+    floats included) at 17 significant digits, other values through ``str``."""
+    rows = rows if header is None else [header, *rows]
+    return "".join([",".join(map(_field, row)) + "\n" for row in rows])
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with no newline translation."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def read_table(path) -> list[list[str]]:
+    """The non-blank comma-separated records of the UTF-8 file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return [record for record in csv.reader(fh) if record]
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise CsvFormatError(f"{path}: {exc}") from None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -96,42 +122,32 @@ def read_rows(path, has_header: bool = False) -> np.ndarray:
 
     Parse failures name the offending data row (1-based, header excluded)
     and column. Ragged rows, non-finite values and files without data rows
-    are rejected.
+    are rejected. With ``has_header`` the first non-blank record is skipped.
     """
-    rows = []
-    n_fields = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, record in enumerate(reader):
-            if not record:
-                continue
-            if has_header and line_no == 0:
-                continue
-            row_no = len(rows) + 1
-            if n_fields is None:
-                n_fields = len(record)
-            elif len(record) != n_fields:
-                raise CsvFormatError(
-                    f"{path}: row {row_no} has {len(record)} fields, expected {n_fields}"
-                )
-            values = []
-            for col_no, token in enumerate(record, start=1):
-                try:
-                    v = float(token)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: row {row_no}, column {col_no}: "
-                        f"cannot parse {token!r} as a number"
-                    ) from None
-                if not math.isfinite(v):
-                    raise CsvFormatError(
-                        f"{path}: row {row_no}, column {col_no}: non-finite value {token!r}"
-                    )
-                values.append(v)
-            rows.append(values)
-    if not rows:
+    records = read_table(path)[1 if has_header else 0 :]
+    if not records:
         raise CsvFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    n_fields = len(records[0])
+    rows = np.empty((len(records), n_fields))
+    for row_no, record in enumerate(records, start=1):
+        if len(record) != n_fields:
+            raise CsvFormatError(
+                f"{path}: row {row_no} has {len(record)} fields, expected {n_fields}"
+            )
+        for col_no, token in enumerate(record, start=1):
+            try:
+                v = float(token)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: row {row_no}, column {col_no}: "
+                    f"cannot parse {token!r} as a number"
+                ) from None
+            if not math.isfinite(v):
+                raise CsvFormatError(
+                    f"{path}: row {row_no}, column {col_no}: non-finite value {token!r}"
+                )
+            rows[row_no - 1, col_no - 1] = v
+    return rows
 
 
 def load_csv(path, has_header: bool = False) -> Dataset:
@@ -151,14 +167,8 @@ def load_csv(path, has_header: bool = False) -> Dataset:
 
 def write_csv(dataset: Dataset, path, header: list[str] | None = None) -> None:
     """Write ``dataset`` to ``path`` at 17 significant digits per value."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
-        X, y = dataset.features, dataset.response
-        for i in range(dataset.n):
-            fields = [_fmt(v) for v in X[i]]
-            fields.append(_fmt(y[i]))
-            fh.write(",".join(fields) + "\n")
+    rows = np.column_stack([dataset.features, dataset.response]).tolist()
+    write_text(path, format_table(rows, header))
 
 
 def generate_synthetic(n: int, noise_sd: float = 0.1, seed: int = 0) -> Dataset:

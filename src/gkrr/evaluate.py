@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import krr
 from .bandwidth import METHODS, select_bandwidth
-from .data import Dataset, _fmt, generate_synthetic, make_jackknife
+from .data import Dataset, format_table, generate_synthetic, make_jackknife, read_table
 from .linalg import FactorizationError
 
 AXIS_N = "n"
@@ -161,26 +161,21 @@ def jackknife_to_csv(report: JackknifeReport) -> str:
     mean_sigma, sd_sigma, excluded, replicates. The per-method summary values
     repeat on each of that method's rows.
     """
-    p = report.grid.shape[1]
-    coord_cols = ",".join(f"x{j}" for j in range(p))
-    lines = [
-        f"method,point,{coord_cols},mean_prediction,sd_prediction,"
-        "mean_sigma,sd_sigma,excluded,replicates"
+    header = ["method", "point", *(f"x{j}" for j in range(report.grid.shape[1])),
+              "mean_prediction", "sd_prediction", "mean_sigma", "sd_sigma",
+              "excluded", "replicates"]
+    rows = [
+        [m, i, *x, report.mean_prediction[m][i], report.sd_prediction[m][i],
+         report.mean_sigma[m], report.sd_sigma[m], report.excluded[m], report.replicates]
+        for m in report.methods
+        for i, x in enumerate(report.grid)
     ]
-    for m in report.methods:
-        for i in range(report.grid.shape[0]):
-            coords = ",".join(_fmt(v) for v in report.grid[i])
-            lines.append(
-                f"{m},{i},{coords},{_fmt(report.mean_prediction[m][i])},"
-                f"{_fmt(report.sd_prediction[m][i])},{_fmt(report.mean_sigma[m])},"
-                f"{_fmt(report.sd_sigma[m])},{report.excluded[m]},{report.replicates}"
-            )
-    return "\n".join(lines) + "\n"
+    return format_table(rows, header)
 
 
 @dataclass(frozen=True)
 class MethodStats:
-    """Summary of one method at one axis point."""
+    """Summary of one method at one axis point; fields in sweep-report column order."""
 
     mean_r2: float
     p05_r2: float
@@ -327,50 +322,31 @@ def run_sweep(
 
 def sweep_to_csv(report: SweepReport) -> str:
     """Tidy CSV, one row per axis point x method, fixed column order."""
-    lines = [SWEEP_CSV_COLUMNS]
-    for pt in report.points:
-        for m in report.methods:
-            s = pt.stats[m]
-            lines.append(
-                f"{report.axis},{_fmt(pt.axis_value)},{m},{_fmt(s.mean_r2)},"
-                f"{_fmt(s.p05_r2)},{_fmt(s.p95_r2)},{_fmt(s.mean_sigma)},"
-                f"{_fmt(s.p05_sigma)},{_fmt(s.p95_sigma)},{_fmt(s.sd_sigma)},"
-                f"{s.excluded},{report.repeats},{report.seed}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = [
+        [report.axis, pt.axis_value, m, *astuple(pt.stats[m]), report.repeats, report.seed]
+        for pt in report.points
+        for m in report.methods
+    ]
+    return format_table(rows, SWEEP_CSV_COLUMNS.split(","))
 
 
 def read_sweep_csv(path) -> SweepReport:
     """Parse a file written by ``sweep_to_csv`` back into a SweepReport."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != SWEEP_CSV_COLUMNS:
+    rows = read_table(path)
+    if not rows or rows[0] != SWEEP_CSV_COLUMNS.split(","):
         raise ValueError(f"{path}: not a sweep report (unexpected header)")
     axis = None
     repeats = 0
     seed = 0
-    order: list[float] = []
-    per_point: dict[float, dict] = {}
-    methods: list[str] = []
-    for ln in lines[1:]:
-        f = ln.split(",")
+    per_point: dict[float, dict] = {}  # insertion order is the axis order
+    for f in rows[1:]:
         if len(f) != 13:
-            raise ValueError(f"{path}: malformed row {ln!r}")
+            raise ValueError(f"{path}: malformed row {','.join(f)!r}")
         axis = f[0]
         v = float(f[1])
-        m = f[2]
-        if m not in methods:
-            methods.append(m)
-        if v not in per_point:
-            per_point[v] = {}
-            order.append(v)
-        per_point[v][m] = MethodStats(
-            mean_r2=float(f[3]), p05_r2=float(f[4]), p95_r2=float(f[5]),
-            mean_sigma=float(f[6]), p05_sigma=float(f[7]), p95_sigma=float(f[8]),
-            sd_sigma=float(f[9]), excluded=int(f[10]),
-        )
+        per_point.setdefault(v, {})[f[2]] = MethodStats(*map(float, f[3:10]), excluded=int(f[10]))
         repeats = int(f[11])
         seed = int(f[12])
-    points = tuple(SweepPoint(axis_value=v, stats=per_point[v]) for v in order)
-    return SweepReport(axis=axis, methods=tuple(methods), points=points,
-                       repeats=repeats, seed=seed)
+    methods = tuple(dict.fromkeys(f[2] for f in rows[1:]))
+    points = tuple(SweepPoint(axis_value=v, stats=stats) for v, stats in per_point.items())
+    return SweepReport(axis=axis, methods=methods, points=points, repeats=repeats, seed=seed)

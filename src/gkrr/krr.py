@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _fmt
+from .data import Dataset, format_table, read_table, write_text
 from .kernel import kernel_matrix
 from .linalg import FactorizationError, factor_spd, solve
 
@@ -106,39 +106,31 @@ def save_model(model: KrrModel, path) -> None:
     per training point, row-major), ``#alpha`` (one coefficient per line).
     The round trip is value-exact.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("#meta\n")
-        fh.write(f"{model.n},{model.p},{_fmt(model.sigma)},{_fmt(model.lam)}\n")
-        fh.write("#train_features\n")
-        for row in model.train_features:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-        fh.write("#alpha\n")
-        for v in model.alpha:
-            fh.write(_fmt(v) + "\n")
+    rows = [["#meta"], [model.n, model.p, float(model.sigma), float(model.lam)],
+            ["#train_features"], *model.train_features.tolist(),
+            ["#alpha"], *zip(model.alpha.tolist())]
+    write_text(path, format_table(rows))
 
 
 def load_model(path) -> KrrModel:
     """Read back a model written by ``save_model``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "#meta":
+    rows = read_table(path)
+    if not rows or rows[0] != ["#meta"]:
         raise ValueError(f"{path}: expected '#meta' tag on line 1")
     try:
-        n_s, p_s, sigma_s, lam_s = lines[1].split(",")
+        n_s, p_s, sigma_s, lam_s = rows[1]
         n, p = int(n_s), int(p_s)
         sigma, lam = float(sigma_s), float(lam_s)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed #meta section: {exc}") from None
-    if len(lines) < 2 + 1 + n + 1 + n or lines[2] != "#train_features":
+    if len(rows) < 2 + 1 + n + 1 + n or rows[2] != ["#train_features"]:
         raise ValueError(f"{path}: expected '#train_features' tag on line 3")
-    feat_lines = lines[3 : 3 + n]
-    if lines[3 + n] != "#alpha":
+    if rows[3 + n] != ["#alpha"]:
         raise ValueError(f"{path}: expected '#alpha' tag after the feature rows")
-    alpha_lines = lines[4 + n : 4 + 2 * n]
-    X = np.array([[float(v) for v in ln.split(",")] for ln in feat_lines])
+    X = np.array([[float(v) for v in row] for row in rows[3 : 3 + n]])
     if X.shape != (n, p):
         raise ValueError(f"{path}: feature block has shape {X.shape}, expected {(n, p)}")
-    alpha = np.array([float(ln) for ln in alpha_lines])
+    alpha = np.array([float(v) for row in rows[4 + n : 4 + 2 * n] for v in row])
     if alpha.shape != (n,):
         raise ValueError(f"{path}: alpha block has length {alpha.shape[0]}, expected {n}")
     return KrrModel(train_features=X, alpha=alpha, sigma=sigma, lam=lam)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .data import write_text
 from .evaluate import SweepReport
 
 _COLORS = {
@@ -144,5 +145,4 @@ def render_sweep_svg(report: SweepReport) -> str:
 
 
 def write_sweep_svg(report: SweepReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_sweep_svg(report))
+    write_text(path, render_sweep_svg(report))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import JacobianParams, Regime, approx_jacobian_norm, classify_regime, jacobian_sigma
-from .data import Dataset, _fmt
+from .data import Dataset, _fmt, format_table
 from .kernel import gradient_one_norm_bound, kernel_gradient_norm, kernel_matrix, max_pairwise_distance
 from .krr import fit, gradient_fd
 from .lambertw import NEGATIVE
@@ -74,15 +74,8 @@ def _report(claim: str, margins: list[float], seed: int, config: str) -> BoundRe
 
 def reports_to_csv(reports) -> str:
     """One line per claim: claim, trials, violations, worst_margin, seed."""
-    lines = ["claim,trials,violations,worst_margin,seed"]
-    for r in reports:
-        lines.append(f"{r.claim},{r.trials},{r.violations},{_fmt(r.worst_margin)},{r.seed}")
-    return "\n".join(lines) + "\n"
-
-
-def write_reports_csv(reports, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(reports_to_csv(reports))
+    rows = [[r.claim, r.trials, r.violations, r.worst_margin, r.seed] for r in reports]
+    return format_table(rows, ["claim", "trials", "violations", "worst_margin", "seed"])
 
 
 def check_prop1_regimes(

@@ -155,6 +155,35 @@ class TestFitPredict:
         assert "sigma=0.25" in out
 
 
+    @pytest.mark.parametrize("body", [
+        "#meta\n3,1,0.5,0\n#train_features\n0\n1\n2\n#alpha\n1\n2\n",
+        "#meta\n3,2,0.5,0\n#train_features\n0,1\n1\n2,3\n#alpha\n1\n2\n3\n",
+    ], ids=["alpha-block-short", "ragged-feature-row"])
+    def test_malformed_model_exit_2(self, capsys, tmp_path, body):
+        model_path = tmp_path / "model.csv"
+        model_path.write_text(body)
+        feat_path = tmp_path / "q.csv"
+        feat_path.write_text("0.5\n")
+        pred_path = tmp_path / "p.csv"
+        code, _, err = run_cli(
+            capsys, "predict", "--model", str(model_path), "--input", str(feat_path),
+            "--output", str(pred_path),
+        )
+        assert code == 2
+        assert err.startswith("gkrr: input error:")
+        assert not pred_path.exists()
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    def test_invalid_sigma_exit_2(self, capsys, tmp_path, ten_point_file, sigma):
+        model_path = tmp_path / "model.csv"
+        code, _, err = run_cli(
+            capsys, "fit", "--input", str(ten_point_file), "--sigma", sigma,
+            "--output", str(model_path),
+        )
+        assert code == 2
+        assert "--sigma" in err
+        assert not model_path.exists()
+
 class TestSynth:
     def test_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
@@ -208,6 +237,16 @@ class TestSweep:
         assert "--n" in err
 
 
+    def test_fractional_test_size_needs_input(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--axis", "lambda", "--values", "1e-3,0.1,5", "--n", "20",
+            "--test-size", "0.3", "--repeats", "2", "--output", str(out_path),
+        )
+        assert code == 2
+        assert "--test-size" in err and "--input" in err
+        assert not out_path.exists()
+
 class TestJackknife:
     def test_basic_run(self, capsys, tmp_path):
         data = generate_synthetic(10, 0.1, seed=4)
@@ -236,6 +275,20 @@ class TestJackknife:
         # half the rows reserved as the evaluation grid
         assert len(out_path.read_text().strip().splitlines()) == 1 + 6
 
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_eval_points_below_one_exit_2(self, capsys, tmp_path, points):
+        data = generate_synthetic(10, 0.1, seed=4)
+        src = tmp_path / "d.csv"
+        write_csv(data, src)
+        out_path = tmp_path / "jk.csv"
+        code, _, err = run_cli(
+            capsys, "jackknife", "--input", str(src), "--methods", "jacobian",
+            "--eval-points", points, "--output", str(out_path),
+        )
+        assert code == 2
+        assert "--eval-points" in err
+        assert not out_path.exists()
 
 class TestVerify:
     def test_prop1_pass_line(self, capsys):
@@ -284,6 +337,14 @@ class TestVerify:
         assert code == 0
         assert "worst_margin=" in out
 
+
+    @pytest.mark.parametrize("claim", ["prop3", "prop4"])
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    def test_invalid_sigma_exit_2(self, capsys, claim, sigma):
+        code, out, err = run_cli(capsys, "verify", "--claim", claim, "--sigma", sigma)
+        assert code == 2
+        assert out == ""
+        assert "--sigma" in err
 
 class TestPlot:
     def test_deterministic_svg(self, capsys, tmp_path):

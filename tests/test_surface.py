@@ -1,7 +1,10 @@
-"""Guards on the names other code reaches into gkrr for.
+"""Guards on the names other code reaches into gkrr for, and on where file
+I/O lives.
 
 ``perfbench/tracer.py`` wraps functions by (module, name); renaming one of
 them would break the benchmark's traced mode without failing any other test.
+Every file gkrr writes or reads goes through ``gkrr.data``, so the table
+format is decided in one module.
 """
 
 import importlib
@@ -11,6 +14,7 @@ from pathlib import Path
 import gkrr
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PACKAGE = Path(gkrr.__file__).resolve().parent
 
 
 def _tracer_targets():
@@ -33,3 +37,14 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"gkrr.{module}"), fn, None))
     ]
     assert missing == []
+
+
+def test_only_data_opens_files():
+    offenders = [
+        f"{path.name}: {needle}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "data.py"
+        for needle in ("open(", "import csv")
+        if needle in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
