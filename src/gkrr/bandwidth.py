@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, make_kfold
-from .kernel import kernel_matrix, max_pairwise_distance
+from .kernel import max_pairwise_distance, pairwise_sq_dists
 from .lambertw import NEGATIVE, PRINCIPAL, lambert_w
-from .linalg import FactorizationError, factor_spd, solve
+from .linalg import FactorizationError, _factor, check_lambda, solve
 
 METHOD_JACOBIAN = "jacobian"
 METHOD_SILVERMAN = "silverman"
@@ -44,6 +44,7 @@ METHODS = (METHOD_JACOBIAN, METHOD_SILVERMAN, METHOD_CV, METHOD_SEEDED_CV)
 DEFAULT_GRID_MIN = 0.01
 DEFAULT_GRID_SIZE = 100
 DEFAULT_FOLDS = 10
+_CV_STACK_FLOATS = 2**14  # per CV kernel stack (128 KB): one sigma per stack once m > 128
 
 
 class Regime(enum.Enum):
@@ -85,8 +86,7 @@ class JacobianParams:
             raise ValueError(f"need p >= 1, got {self.p}")
         if not (np.isfinite(self.l_max) and self.l_max > 0):
             raise ValueError(f"l_max must be finite and > 0, got {self.l_max}")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        check_lambda(self.lam)
 
     @property
     def spread(self) -> float:
@@ -215,27 +215,32 @@ def _cv_mean_losses(data: Dataset, lam: float, folds: int, grid: np.ndarray, see
     """Mean validation MSE per grid sigma over a fixed fold partition.
 
     Folds are built once and reused for every sigma, so the grid comparison
-    is paired. A fold whose training system fails to factor contributes +inf
-    for that sigma.
+    is paired. Distances are computed once; each fold stacks the kernels of
+    ``_CV_STACK_FLOATS // m^2`` sigmas (at least one) and factors them slice by
+    slice, unchecked: symmetric by construction. A failed factor makes +inf.
     """
-    plans = make_kfold(data.n, folds, seed)
     X, y = data.features, data.response
-    mean_losses = np.empty(len(grid))
-    for gi, sigma in enumerate(grid):
-        total = 0.0
-        for plan in plans:
-            tr, te = plan.train_indices, plan.test_indices
-            X_tr = X[tr]
-            K = kernel_matrix(X_tr, None, sigma)
-            try:
-                alpha = solve(factor_spd(K, lam), y[tr])
-            except FactorizationError:
-                total = math.inf
-                break
-            pred = kernel_matrix(X[te], X_tr, sigma) @ alpha
-            total += float(np.mean((y[te] - pred) ** 2))
-        mean_losses[gi] = total / folds
-    return mean_losses
+    neg_d2 = -pairwise_sq_dists(X, X)
+    totals = np.zeros(len(grid))
+    for plan in make_kfold(data.n, folds, seed):
+        tr, te = plan.train_indices, plan.test_indices
+        d_tr, d_te, y_tr, y_te = neg_d2[np.ix_(tr, tr)], neg_d2[np.ix_(te, tr)], y[tr], y[te]
+        diag, block = np.arange(len(tr)), max(1, _CV_STACK_FLOATS // d_tr.size)
+        for start in range(0, len(grid), block):
+            scale = 2.0 * grid[start : start + block, None, None] ** 2
+            K = d_tr / scale
+            np.exp(K, out=K)
+            K[:, diag, diag] = 1.0 + lam
+            for g, K_g, K_te_g in zip(range(start, len(grid)), K, np.exp(d_te / scale)):
+                if totals[g] == math.inf:
+                    continue
+                try:  # K_g.T is F-ordered, so LAPACK factors it in place
+                    alpha = solve(_factor(K_g.T, lam), y_tr)
+                except FactorizationError:
+                    totals[g] = math.inf
+                else:
+                    totals[g] += float(np.mean((y_te - K_te_g @ alpha) ** 2))
+    return totals / folds
 
 
 def _run_cv(data: Dataset, lam: float, folds: int, grid: np.ndarray, seed: int, method: str) -> BandwidthResult:
@@ -248,7 +253,11 @@ def _run_cv(data: Dataset, lam: float, folds: int, grid: np.ndarray, seed: int, 
         raise ValueError("empty bandwidth grid")
     if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
         raise ValueError("grid bandwidths must be finite and positive")
+    lam = check_lambda(lam)
     losses = _cv_mean_losses(data, lam, folds, grid, seed)
+    if np.all(np.isinf(losses)):
+        raise ValueError(f"CV failed at every grid bandwidth: lambda={lam} leaves a "
+                         "training fold's kernel matrix not positive definite")
     # ties broken toward the smallest sigma: argmin takes the first minimum
     # of the ascending grid
     best = int(np.argmin(losses))

@@ -47,7 +47,7 @@ def read_table(path) -> list[list[str]]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return [record for record in csv.reader(fh) if record]
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+    except (csv.Error, UnicodeDecodeError) as exc:  # e.g. an oversized field, not UTF-8
         raise CsvFormatError(f"{path}: {exc}") from None
 
 

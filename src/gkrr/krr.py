@@ -123,9 +123,9 @@ def load_model(path) -> KrrModel:
         sigma, lam = float(sigma_s), float(lam_s)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed #meta section: {exc}") from None
-    if len(rows) < 2 + 1 + n + 1 + n or rows[2] != ["#train_features"]:
+    if len(rows) < 3 or rows[2] != ["#train_features"]:
         raise ValueError(f"{path}: expected '#train_features' tag on line 3")
-    if rows[3 + n] != ["#alpha"]:
+    if len(rows) < 4 + n or rows[3 + n] != ["#alpha"]:
         raise ValueError(f"{path}: expected '#alpha' tag after the feature rows")
     X = np.array([[float(v) for v in row] for row in rows[3 : 3 + n]])
     if X.shape != (n, p):

@@ -57,10 +57,21 @@ def factor_spd(K: np.ndarray, lam: float = 0.0) -> SpdSolve:
     kernel bandwidth in use).
     """
     K = _check_square_symmetric(K, "K")
+    lam = check_lambda(lam)
+    return _factor(K + lam * np.eye(K.shape[0]), lam)
+
+
+def check_lambda(lam: float) -> float:
+    """lam as a float; ValueError unless it is finite and >= 0."""
     lam = float(lam)
     if lam < 0.0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    A = K + lam * np.eye(K.shape[0])
+    return lam
+
+
+def _factor(A: np.ndarray, lam: float) -> SpdSolve:
+    """factor_spd without checks, for A = K + lam*I symmetric by construction.
+    Reads the lower triangle; factors an F-ordered float64 A in place."""
     c, info = lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise FactorizationError(

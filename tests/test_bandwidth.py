@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gkrr.bandwidth import (
+    _CV_STACK_FLOATS,
     BandwidthResult,
     JacobianParams,
     Regime,
@@ -18,9 +19,12 @@ from gkrr.bandwidth import (
     select_jacobian,
     select_seeded_cv,
     select_silverman,
+    _cv_mean_losses,
 )
 from gkrr.data import Dataset, generate_synthetic, make_kfold
+from gkrr.kernel import kernel_matrix, max_pairwise_distance
 from gkrr.lambertw import NEGATIVE
+from gkrr.linalg import FactorizationError, factor_spd, solve
 
 
 def exhaustive_cv_oracle(data, lam, folds, grid, seed):
@@ -57,6 +61,29 @@ def exhaustive_cv_oracle(data, lam, folds, grid, seed):
         if mean_loss < best_loss:
             best_loss, best_sigma = mean_loss, float(sigma)
     return best_sigma
+
+
+def reference_cv_losses(data, lam, folds, grid, seed):
+    """The per-(sigma, fold) CV loop that ``_cv_mean_losses`` replaced: one
+    ``kernel_matrix`` pair, checked ``factor_spd`` and ``solve`` per pair."""
+    plans = make_kfold(data.n, folds, seed)
+    X, y = data.features, data.response
+    mean_losses = np.empty(len(grid))
+    for gi, sigma in enumerate(grid):
+        total = 0.0
+        for plan in plans:
+            tr, te = plan.train_indices, plan.test_indices
+            X_tr = X[tr]
+            K = kernel_matrix(X_tr, None, sigma)
+            try:
+                alpha = solve(factor_spd(K, lam), y[tr])
+            except FactorizationError:
+                total = math.inf
+                break
+            pred = kernel_matrix(X[te], X_tr, sigma) @ alpha
+            total += float(np.mean((y[te] - pred) ** 2))
+        mean_losses[gi] = total / folds
+    return mean_losses
 
 
 class TestJacobianParams:
@@ -298,14 +325,71 @@ class TestSelectCv:
         assert res.sigma == 0.5
 
     def test_factorization_failure_becomes_inf_loss(self):
-        # duplicated rows with lam=0 make some fold's kernel singular; the
-        # selector records +inf for that sigma instead of crashing
-        X = np.array([[0.0], [0.0], [1.0], [2.0], [3.0], [4.0]])
+        # with lam=0 a very wide kernel is numerically singular on every
+        # fold; the selector records +inf for that sigma instead of crashing
+        X = np.arange(6.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, 0.5, 0.2, 0.1, 0.4])
         data = Dataset(X, y)
-        res = select_cv(data, 0.0, folds=3, grid=np.array([0.7]), seed=1)
+        res = select_cv(data, 0.0, folds=3, grid=np.array([0.7, 1e4]), seed=1)
         assert res.sigma == 0.7
-        assert math.isinf(res.cv_curve[0][1])
+        assert math.isfinite(res.cv_curve[0][1])
+        assert math.isinf(res.cv_curve[1][1])
+
+    @pytest.mark.parametrize("lam", [-0.5, math.nan, math.inf])
+    def test_invalid_lambda_rejected(self, lam):
+        data = generate_synthetic(12, 0.1, seed=0)
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            select_cv(data, lam, folds=3)
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            select_bandwidth("cv", data, lam, folds=3)
+
+    @pytest.mark.parametrize("selector", [select_cv, select_seeded_cv])
+    def test_all_points_failed_raises(self, selector):
+        # duplicated rows with lam=0 make a fold's kernel singular at every
+        # sigma; there is nothing to select, so CV raises instead of
+        # returning the first grid point
+        X = np.array([[0.0], [0.0], [1.0], [2.0], [3.0], [4.0]])
+        y = np.array([0.0, 1.0, 0.5, 0.2, 0.1, 0.4])
+        with pytest.raises(ValueError, match="every grid bandwidth.*lambda=0.0"):
+            selector(Dataset(X, y), 0.0, folds=3, seed=1)
+
+
+class TestCvLossesExact:
+    """The CV engine on shared distances against the per-(sigma, fold)
+    reference loop.
+
+    Both see the same distances for p=1 (one product per entry), so the
+    curves are bit-identical; for p=3 the full-data distance matrix rounds
+    its dot products differently from per-fold ones, in the last bits.
+    The 37-point grid splits into stacks of 18, 18 and 1 sigmas on n=40's
+    folds (m=30); n=200's folds (m=150) take one sigma per stack.
+    """
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_matches_reference_loop(self, p, lam):
+        assert _CV_STACK_FLOATS // 30**2 == 18 and _CV_STACK_FLOATS // 150**2 == 0
+        partial = 0
+        for n, seed in ((12, 0), (25, 1), (40, 2), (200, 3)):
+            rng = np.random.default_rng(seed)
+            X = rng.uniform(-5.0, 5.0, (n, p))
+            data = Dataset(X, np.sin(2 * np.pi * X[:, 0]) + rng.normal(0.0, 0.1, n))
+            # up to 20 diameters, so lam=0 fails at the wide end of the grid
+            grid = default_cv_grid(20 * max_pairwise_distance(X), 37)
+            new = _cv_mean_losses(data, lam, 4, grid, seed)
+            ref = reference_cv_losses(data, lam, 4, grid, seed)
+            inf = np.isinf(ref)
+            np.testing.assert_array_equal(np.isinf(new), inf)
+            assert np.argmin(new) == np.argmin(ref)
+            partial += 0 < inf.sum() < len(grid)
+            if p == 1:
+                np.testing.assert_array_equal(new, ref)
+            elif n < 200 or lam > 0.0:
+                np.testing.assert_allclose(new[~inf], ref[~inf], rtol=1e-6, atol=0)
+            # else: at lam=0 the wide-sigma kernels of n=200 are singular to
+            # working precision, so the last-bit distance change grows to
+            # ~1e-3 relative there; the +inf set and the argmin still agree
+        assert partial > 0 if lam == 0.0 else partial == 0
 
 
 class TestSelectSeededCv:

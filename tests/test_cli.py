@@ -71,6 +71,50 @@ class TestSelect:
         assert code == 2
         assert "row 1, column 2" in err
 
+    @pytest.mark.parametrize("method, lam", [
+        ("cv", "-0.5"), ("cv", "nan"), ("cv", "inf"), ("seeded-cv", "-0.5"),
+    ])
+    def test_cv_invalid_lambda_exit_3(self, capsys, ten_point_file, method, lam):
+        code, out, err = run_cli(
+            capsys, "select", "--input", str(ten_point_file), "--method", method,
+            "--lambda", lam, "--folds", "3",
+        )
+        assert code == 3
+        assert out == ""
+        assert "lambda must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("method", ["cv", "seeded-cv"])
+    def test_cv_all_points_failed_exit_3(self, capsys, tmp_path, method):
+        # duplicate rows at lambda=0: every grid sigma fails to factor on a fold
+        path = tmp_path / "dup.csv"
+        path.write_text("0,0\n0,1\n1,0.5\n2,0.2\n3,0.1\n4,0.4\n")
+        curve = tmp_path / "curve.csv"
+        code, out, err = run_cli(
+            capsys, "select", "--input", str(path), "--method", method,
+            "--lambda", "0", "--folds", "3", "--output", str(curve),
+        )
+        assert code == 3
+        assert out == ""
+        assert "every grid bandwidth" in err and "lambda=0.0" in err
+        assert not curve.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["select"],
+    ["fit", "--output", "{out}"],
+    ["sweep", "--axis", "n", "--values", "3", "--test-size", "0.5", "--output", "{out}"],
+    ["jackknife", "--output", "{out}"],
+], ids=["select", "fit", "sweep", "jackknife"])
+def test_non_utf8_input_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "utf16.csv"
+    path.write_bytes(b"\xff\xfe" + "0,1\n1,2\n".encode("utf-16-le"))
+    out = tmp_path / "out.csv"
+    argv = [a.replace("{out}", str(out)) for a in argv]
+    code, _, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 2
+    assert err.startswith("gkrr: input error:") and "utf-8" in err
+    assert not out.exists()
+
 
 class TestFitPredict:
     def test_interpolation_round_trip(self, capsys, tmp_path, ten_point_file):

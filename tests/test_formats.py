@@ -140,6 +140,19 @@ def test_dataset_file_bytes_and_read_back(tmp_path):
     np.testing.assert_array_equal(back.response, data.response)
 
 
+@pytest.mark.parametrize("drop, message", [
+    (1, "alpha block has length 2, expected 3"),
+    (4, "expected '#alpha' tag after the feature rows"),
+], ids=["one-alpha-row-short", "alpha-block-and-tag-gone"])
+def test_truncated_model_names_the_short_block(tmp_path, drop, message):
+    path = tmp_path / "model.csv"
+    save_model(KrrModel(np.array([[0.0], [1.0], [2.0]]), np.ones(3), sigma=0.5, lam=0), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-drop]))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
 def test_model_with_blank_lines_and_crlf_loads(tmp_path):
     model = KrrModel(np.array([[0.5], [1.5]]), np.array([2.0, -1.0]), sigma=0.25, lam=1e-3)
     path = tmp_path / "model.csv"
