@@ -124,6 +124,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise _InputError("--threads must be >= 1")
     values = _parse_values(args.values)
     if not values:
         raise _InputError("--values is empty")
@@ -158,6 +160,8 @@ def cmd_jackknife(args) -> int:
         raise _InputError("--holdout must be in [0, 1)")
     if args.eval_points < 1:
         raise _InputError("--eval-points must be >= 1")
+    if args.threads < 1:
+        raise _InputError("--threads must be >= 1")
     if args.holdout > 0.0:
         # reserve a seeded random reference slice; jackknife the remainder
         # and evaluate on the reference features
@@ -267,9 +271,11 @@ def _add_common(p, output_required=False):
 def _add_selector_flags(p):
     p.add_argument("--method", default="jacobian", choices=bandwidth.METHODS,
                    help="bandwidth selection method")
-    p.add_argument("--folds", type=int, default=10, help="CV fold count")
-    p.add_argument("--grid-size", type=int, default=100, help="CV grid size")
-    p.add_argument("--grid-min", type=float, default=0.01, help="CV grid lower bound")
+    p.add_argument("--folds", type=int, default=bandwidth.DEFAULT_FOLDS, help="CV fold count")
+    p.add_argument("--grid-size", type=int, default=bandwidth.DEFAULT_GRID_SIZE,
+                   help="CV grid size")
+    p.add_argument("--grid-min", type=float, default=bandwidth.DEFAULT_GRID_MIN,
+                   help="CV grid lower bound")
     p.add_argument("--grid-max", type=float, default=None,
                    help="CV grid upper bound (default: data diameter)")
 
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated methods to compare")
     p.add_argument("--noise-sd", type=float, default=0.1,
                    help="noise level for synthetic draws")
-    p.add_argument("--threads", type=int, default=1, help="replicate thread pool size")
+    p.add_argument("--threads", type=int, default=1, help="replicate worker processes")
     _add_input(p, required=False)
     _add_selector_flags(p)
     _add_common(p, output_required=True)
@@ -340,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction reserved as the evaluation reference set")
     p.add_argument("--eval-points", type=int, default=100,
                    help="evaluation grid size for 1-D data (no holdout)")
-    p.add_argument("--threads", type=int, default=1, help="replicate thread pool size")
+    p.add_argument("--threads", type=int, default=1, help="replicate worker processes")
     _add_selector_flags(p)
     _add_common(p, output_required=True)
     p.set_defaults(func=cmd_jackknife)

@@ -208,14 +208,3 @@ def make_kfold(n: int, k: int, seed: int = 0) -> list[SplitPlan]:
         plans.append(SplitPlan(train_indices=train, test_indices=test))
         start += size
     return plans
-
-
-def make_jackknife(n: int) -> list[SplitPlan]:
-    """Leave-one-out plans: plan i tests on {i} and trains on the rest."""
-    if n < 2:
-        raise ValueError(f"jackknife needs n >= 2, got {n}")
-    all_idx = np.arange(n)
-    return [
-        SplitPlan(train_indices=np.delete(all_idx, i), test_indices=all_idx[i : i + 1])
-        for i in range(n)
-    ]

@@ -1,9 +1,10 @@
 """Experiment harness: R^2 scoring, jackknife statistics, and n/lambda sweeps.
 
 Replicates are independent: each draws its own seeds from a SeedSequence
-rooted at (seed, replicate index), so parallel execution over replicates
-produces reports identical to serial execution, and a lambda-axis sweep
-reuses the same data and folds at every axis value (paired comparisons).
+rooted at (seed, replicate index), so a lambda-axis sweep reuses the same
+data and folds at every axis value (paired comparisons). With ``threads > 1``
+the replicates of one call run on a pool of worker processes; each is the
+same computation as in a serial run, so the reports are identical.
 
 Per-replicate selector or fit failures exclude that replicate for the failing
 method only; exclusion counts are first-class output, never imputed.
@@ -12,14 +13,14 @@ method only; exclusion counts are first-class output, never imputed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import krr
-from .bandwidth import METHODS, select_bandwidth
-from .data import Dataset, format_table, generate_synthetic, make_jackknife, read_table
+from .bandwidth import DEFAULT_FOLDS, DEFAULT_GRID_MIN, DEFAULT_GRID_SIZE, METHODS, select_bandwidth
+from .data import Dataset, format_table, generate_synthetic, read_table
 from .linalg import FactorizationError
 
 AXIS_N = "n"
@@ -54,25 +55,82 @@ def r_squared(y_true, y_pred) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def _run_methods(train: Dataset, lam: float, methods, folds, grid_size, grid_min, fold_seed):
-    """Select, fit and return {method: (sigma, model)} with failures -> None."""
+@dataclass(frozen=True)
+class _Replicate:
+    """One sweep or jackknife replicate, pickled to pool workers. ``data=None``
+    draws synthetic sets; with ``eval_grid`` set it leaves row ``index`` of
+    ``data`` out (jackknife); otherwise it splits ``data`` at random."""
+
+    n_train: int
+    lam: float
+    index: int
+    seed: int
+    methods: tuple[str, ...]
+    folds: int
+    grid_size: int
+    grid_min: float
+    data: Dataset | None = None
+    noise_sd: float = 0.0
+    test_count: int = 0
+    eval_grid: np.ndarray | None = None
+
+
+def _run_replicate(task: _Replicate) -> dict:
+    """{method: (sigma, test R^2 or predictions at eval_grid)}, with None for
+    a method whose select, fit or score failed."""
+    r, data = task.index, task.data
+    if data is None:
+        train = generate_synthetic(task.n_train, task.noise_sd, _derived_seed(task.seed, 1, r))
+        test = generate_synthetic(task.test_count, task.noise_sd, _derived_seed(task.seed, 2, r))
+    elif task.eval_grid is None:
+        perm = np.random.default_rng(_derived_seed(task.seed, 4, r)).permutation(data.n)
+        t = task.test_count
+        test = data.subset(np.sort(perm[:t]))
+        train = data.subset(np.sort(perm[t : t + task.n_train]))
+    else:
+        train = data.subset(np.delete(np.arange(data.n), r))
+    fold_seed = _derived_seed(task.seed, 3, r)
     out = {}
-    for m in methods:
+    for m in task.methods:
         try:
-            res = select_bandwidth(m, train, lam, folds=folds, grid_size=grid_size,
-                                   grid_min=grid_min, seed=fold_seed)
-            model = krr.fit(train, res.sigma, lam)
-            out[m] = (res.sigma, model)
+            sigma = select_bandwidth(m, train, task.lam, folds=task.folds, grid_size=task.grid_size,
+                                     grid_min=task.grid_min, seed=fold_seed).sigma
+            model = krr.fit(train, sigma, task.lam)
+            if task.eval_grid is None:
+                out[m] = (sigma, r_squared(test.response, krr.predict(model, test.features)))
+            else:
+                out[m] = (sigma, krr.predict(model, task.eval_grid))
         except (ValueError, FactorizationError):
             out[m] = None
     return out
 
 
-def _map_replicates(fn, count: int, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(r) for r in range(count)]
+def _worker_count(threads: int, tasks: int, cpus: int) -> int:
+    """Pool size: ``threads``, but never more than the tasks or usable CPUs."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return min(threads, tasks, cpus)
+
+
+def _map_replicates(tasks: list[_Replicate], threads: int) -> list[dict]:
+    """Runner results in task order: in-process at one worker, else from one pool."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = _worker_count(threads, len(tasks), cpus or 1)
+    if workers == 1:
+        return [_run_replicate(t) for t in tasks]
+    # imported here so that serial runs and CLI start-up do not pay for it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork starts a worker in milliseconds, spawn and forkserver in tenths of
+    # a second; gkrr starts no threads of its own, and tasks pickle, so spawn
+    # works where fork is not offered
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork" if fork else None))
+    try:
+        return list(pool.map(_run_replicate, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -94,9 +152,9 @@ def run_jackknife(
     lam: float,
     methods=METHODS,
     eval_grid: np.ndarray | None = None,
-    folds: int = 10,
-    grid_size: int = 100,
-    grid_min: float = 0.01,
+    folds: int = DEFAULT_FOLDS,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    grid_min: float = DEFAULT_GRID_MIN,
     seed: int = 0,
     threads: int = 1,
 ) -> JackknifeReport:
@@ -112,18 +170,13 @@ def run_jackknife(
     if eval_grid is None:
         eval_grid = data.features
     eval_grid = np.atleast_2d(np.asarray(eval_grid, dtype=float))
-    plans = make_jackknife(data.n)
-
-    def replicate(i: int):
-        train = data.subset(plans[i].train_indices)
-        fold_seed = _derived_seed(seed, 3, i)
-        fitted = _run_methods(train, lam, methods, folds, grid_size, grid_min, fold_seed)
-        out = {}
-        for m, sm in fitted.items():
-            out[m] = None if sm is None else (sm[0], krr.predict(sm[1], eval_grid))
-        return out
-
-    results = _map_replicates(replicate, data.n, threads)
+    if eval_grid.shape[1] != data.p:
+        raise ValueError(f"eval_grid has {eval_grid.shape[1]} columns, data has {data.p}")
+    results = _map_replicates(
+        [_Replicate(data.n - 1, lam, i, seed, methods, folds, grid_size, grid_min,
+                    data=data, eval_grid=eval_grid) for i in range(data.n)],
+        threads,
+    )
 
     mean_pred, sd_pred, mean_sig, sd_sig, excl = {}, {}, {}, {}, {}
     m_points = eval_grid.shape[0]
@@ -236,9 +289,9 @@ def run_sweep(
     repeats: int = 100,
     test_size=1000,
     methods=METHODS,
-    folds: int = 10,
-    grid_size: int = 100,
-    grid_min: float = 0.01,
+    folds: int = DEFAULT_FOLDS,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    grid_min: float = DEFAULT_GRID_MIN,
     seed: int = 0,
     threads: int = 1,
 ) -> SweepReport:
@@ -265,53 +318,29 @@ def run_sweep(
         raise ValueError("a lambda-axis sweep needs fixed_n")
     methods = tuple(methods)
 
-    def resolve_test_count(total: int | None) -> int:
-        if isinstance(test_size, float) and test_size < 1.0:
-            if total is None:
-                raise ValueError("fractional test_size needs a concrete dataset")
-            return max(1, round(test_size * total))
-        return int(test_size)
-
-    def build_split(r: int, n_train: int) -> tuple[Dataset, Dataset]:
-        if data is None:
-            train = generate_synthetic(n_train, noise_sd, _derived_seed(seed, 1, r))
-            test = generate_synthetic(resolve_test_count(None), noise_sd, _derived_seed(seed, 2, r))
-            return train, test
-        t = resolve_test_count(data.n)
-        if n_train + t > data.n:
-            raise ValueError(
-                f"cannot split {data.n} rows into train={n_train} plus test={t}"
-            )
-        perm = np.random.default_rng(_derived_seed(seed, 4, r)).permutation(data.n)
-        test = data.subset(np.sort(perm[:t]))
-        train = data.subset(np.sort(perm[t : t + n_train]))
-        return train, test
-
-    points = []
+    fractional = isinstance(test_size, float) and test_size < 1.0
+    if fractional and data is None:
+        raise ValueError("fractional test_size needs a concrete dataset")
+    test_count = max(1, round(test_size * data.n)) if fractional else int(test_size)
+    tasks = []
     for v in axis_values:
         n_train = int(v) if axis == AXIS_N else int(fixed_n)
         lam = float(fixed_lambda) if axis == AXIS_N else float(v)
+        if data is not None and n_train + test_count > data.n:
+            raise ValueError(
+                f"cannot split {data.n} rows into train={n_train} plus test={test_count}"
+            )
+        tasks += [_Replicate(n_train, lam, r, seed, methods, folds, grid_size, grid_min,
+                             data=data, noise_sd=noise_sd, test_count=test_count)
+                  for r in range(repeats)]
+    results = _map_replicates(tasks, threads)
 
-        def replicate(r: int):
-            train, test = build_split(r, n_train)
-            fold_seed = _derived_seed(seed, 3, r)
-            fitted = _run_methods(train, lam, methods, folds, grid_size, grid_min, fold_seed)
-            out = {}
-            for m, sm in fitted.items():
-                if sm is None:
-                    out[m] = None
-                    continue
-                try:
-                    pred = krr.predict(sm[1], test.features)
-                    out[m] = (sm[0], r_squared(test.response, pred))
-                except (ValueError, FactorizationError):
-                    out[m] = None
-            return out
-
-        results = _map_replicates(replicate, repeats, threads)
+    points = []
+    for k, v in enumerate(axis_values):
+        block = results[k * repeats : (k + 1) * repeats]
         stats = {}
         for m in methods:
-            good = [res[m] for res in results if res[m] is not None]
+            good = [res[m] for res in block if res[m] is not None]
             stats[m] = _summarize([g[1] for g in good], [g[0] for g in good], repeats)
         points.append(SweepPoint(axis_value=v, stats=stats))
 

@@ -272,6 +272,32 @@ class TestSweep:
         run_cli(capsys, *base, "--threads", "8", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_threads_byte_identical_on_input_split(self, capsys, tmp_path):
+        # replicates on a fractional split of an input file, serial against
+        # a two-worker pool
+        src = tmp_path / "d.csv"
+        write_csv(generate_synthetic(40, 0.1, seed=6), src)
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        base = ["sweep", "--input", str(src), "--axis", "n", "--values", "12,20",
+                "--repeats", "3", "--test-size", "0.25", "--methods", "jacobian,cv",
+                "--folds", "4", "--grid-size", "15", "--seed", "3"]
+        assert run_cli(capsys, *base, "--threads", "1", "--output", str(a))[0] == 0
+        assert run_cli(capsys, *base, "--threads", "2", "--output", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, capsys, tmp_path, threads):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--axis", "n", "--values", "10", "--repeats", "2",
+            "--test-size", "20", "--methods", "jacobian", "--threads", threads,
+            "--output", str(out_path),
+        )
+        assert code == 2
+        assert "--threads" in err
+        assert not out_path.exists()
+
     def test_lambda_axis_requires_n(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--axis", "lambda", "--values", "0.1",
@@ -332,6 +358,19 @@ class TestJackknife:
         )
         assert code == 2
         assert "--eval-points" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, capsys, tmp_path, threads):
+        src = tmp_path / "d.csv"
+        write_csv(generate_synthetic(10, 0.1, seed=4), src)
+        out_path = tmp_path / "jk.csv"
+        code, _, err = run_cli(
+            capsys, "jackknife", "--input", str(src), "--methods", "jacobian",
+            "--threads", threads, "--output", str(out_path),
+        )
+        assert code == 2
+        assert "--threads" in err
         assert not out_path.exists()
 
 class TestVerify:

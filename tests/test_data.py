@@ -9,7 +9,6 @@ from gkrr.data import (
     SplitPlan,
     generate_synthetic,
     load_csv,
-    make_jackknife,
     make_kfold,
     write_csv,
 )
@@ -169,22 +168,6 @@ class TestMakeKfold:
         for p in plans:
             assert len(np.intersect1d(p.train_indices, p.test_indices)) == 0
             assert len(p.train_indices) + len(p.test_indices) == n
-
-
-class TestMakeJackknife:
-    def test_three_points(self):
-        plans = make_jackknife(3)
-        assert len(plans) == 3
-        assert all(len(p.train_indices) == 2 for p in plans)
-        for i, p in enumerate(plans):
-            assert p.test_indices.tolist() == [i]
-
-    def test_two_points(self):
-        assert len(make_jackknife(2)) == 2
-
-    def test_one_point_rejected(self):
-        with pytest.raises(ValueError):
-            make_jackknife(1)
 
 
 class TestSplitPlan:

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +13,9 @@ from gkrr.evaluate import (
     AXIS_LAMBDA,
     AXIS_N,
     _derived_seed,
+    _Replicate,
+    _run_replicate,
+    _worker_count,
     jackknife_to_csv,
     r_squared,
     read_sweep_csv,
@@ -105,6 +111,17 @@ class TestRunJackknife:
         assert lines[0].startswith("method,point,x0,x1,mean_prediction")
         assert len(lines) == 1 + 6  # eval grid defaults to the training rows
 
+    def test_eval_grid_column_mismatch_rejected(self):
+        data = generate_synthetic(6, 0.1, seed=3)
+        with pytest.raises(ValueError, match="columns"):
+            run_jackknife(data, 1e-3, methods=("jacobian",), eval_grid=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_jackknife(generate_synthetic(6, 0.1, seed=3), 1e-3,
+                          methods=("jacobian",), threads=threads)
+
     def test_threads_identical(self):
         data = generate_synthetic(8, 0.1, seed=3)
         a = run_jackknife(data, 1e-3, methods=("jacobian", "silverman"), threads=1)
@@ -173,6 +190,36 @@ class TestRunSweep:
         a = run_sweep(AXIS_N, [12], threads=1, **kw)
         b = run_sweep(AXIS_N, [12], threads=8, **kw)
         assert sweep_to_csv(a) == sweep_to_csv(b)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_sweep(AXIS_N, [10], fixed_lambda=1e-3, repeats=2, test_size=20,
+                      methods=("jacobian",), threads=threads)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers see the parent's monkeypatch only when forked")
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # an error the runner does not turn into an exclusion must surface
+        # from the pool instead of hanging it
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom in a replicate")
+
+        monkeypatch.setattr("gkrr.evaluate.select_bandwidth", boom)
+        caught = []
+
+        def call():
+            try:
+                run_sweep(AXIS_N, [10, 12], fixed_lambda=1e-3, repeats=4, test_size=20,
+                          methods=("jacobian",), threads=2)
+            except RuntimeError as exc:
+                caught.append(exc)
+
+        worker = threading.Thread(target=call, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(caught) == 1 and "boom in a replicate" in str(caught[0])
 
     def test_percentile_convention_two_repeats(self):
         # type-7 linear interpolation between the two order statistics
@@ -250,6 +297,35 @@ class TestRunSweep:
         back = read_sweep_csv(path)
         assert sweep_to_csv(back) == text
         assert back.axis == AXIS_N and back.repeats == 3 and back.seed == 13
+
+
+class TestReplicateRunner:
+    @pytest.mark.parametrize("kind", ["synthetic", "split", "jackknife"])
+    def test_task_pickles_and_reruns_identically(self, kind):
+        data = generate_synthetic(20, 0.1, seed=16)
+        extra = {
+            "synthetic": dict(noise_sd=0.1, test_count=30),
+            "split": dict(data=data, test_count=5),
+            "jackknife": dict(data=data, eval_grid=np.linspace(-4, 4, 7).reshape(-1, 1)),
+        }[kind]
+        task = _Replicate(12 if kind != "jackknife" else 19, 1e-3, 1, 17,
+                          ("jacobian", "cv", "silverman"), 4, 15, 0.01, **extra)
+        copy = pickle.loads(pickle.dumps(task))
+        a, b = _run_replicate(task), _run_replicate(copy)
+        assert list(a) == list(b) == ["jacobian", "cv", "silverman"]
+        for m in a:
+            assert a[m][0] == b[m][0]
+            np.testing.assert_array_equal(a[m][1], b[m][1])
+
+    @pytest.mark.parametrize("threads,tasks,cpus,expect", [
+        (1, 200, 2, 1), (2, 200, 2, 2), (64, 200, 2, 2), (8, 3, 16, 3), (4, 200, 16, 4),
+    ])
+    def test_worker_count(self, threads, tasks, cpus, expect):
+        assert _worker_count(threads, tasks, cpus) == expect
+
+    def test_worker_count_rejects_below_one(self):
+        with pytest.raises(ValueError, match="threads"):
+            _worker_count(0, 10, 2)
 
 
 def test_derived_seed_stable():
