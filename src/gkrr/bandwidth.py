@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, make_kfold
-from .kernel import max_pairwise_distance, pairwise_sq_dists
+from .data import Dataset, as_features, make_kfold
+from .kernel import check_sigma, max_pairwise_distance, pairwise_sq_dists
 from .lambertw import NEGATIVE, PRINCIPAL, lambert_w
 from .linalg import FactorizationError, _factor, check_lambda, solve
 
@@ -61,8 +61,7 @@ def lambda_threshold(n: int) -> float:
 
 
 def classify_regime(n: int, lam: float) -> Regime:
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    lam = check_lambda(lam)
     if lam == 0.0:
         return Regime.NO_REGULARIZATION
     if lam <= lambda_threshold(n):
@@ -93,6 +92,10 @@ class JacobianParams:
         """(n-1)^(1/p) - 1, the per-dimension point-count factor."""
         return math.pow(self.n - 1, 1.0 / self.p) - 1.0
 
+    def bermanis_exponent(self, sigma: float) -> float:
+        """t = spread * pi * sigma / (2 l_max), so that j_b = 1 / (n exp(-t^2) + lambda)."""
+        return self.spread * math.pi * sigma / (2.0 * self.l_max)
+
 
 @dataclass(frozen=True)
 class BandwidthResult:
@@ -111,18 +114,16 @@ class BandwidthResult:
     cv_curve: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"selected sigma must be finite and > 0, got {self.sigma}")
+        check_sigma(self.sigma)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
 def jacobian_factors(sigma: float, params: JacobianParams) -> tuple[float, float]:
     """(j_a, j_b) at ``sigma``: kernel-decay and conditioning factors."""
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    sigma = check_sigma(sigma)
     j_a = 1.0 / sigma
-    t = params.spread * math.pi * sigma / (2.0 * params.l_max)
+    t = params.bermanis_exponent(sigma)
     denom = params.n * math.exp(-t * t) + params.lam
     with np.errstate(divide="ignore"):
         j_b = float(np.divide(1.0, denom))
@@ -162,7 +163,7 @@ def select_jacobian(X: np.ndarray, lam: float) -> BandwidthResult:
     Returns sigma_0(lambda); above the threshold 2 n e^(-3/2) it returns
     sigma_0 evaluated at the threshold with ``clamped`` set.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = as_features(X)
     n, p = X.shape
     if n < 3:
         raise ValueError(f"Jacobian selection needs n >= 3, got {n}")
@@ -189,7 +190,7 @@ def select_silverman(X: np.ndarray) -> BandwidthResult:
     sigma_hat is the square root of the mean per-coordinate sample variance
     (n-1 denominator), one scalar regardless of p. Blind to lambda and y.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = as_features(X)
     n, p = X.shape
     if n < 2:
         raise ValueError(f"Silverman's rule needs n >= 2, got {n}")

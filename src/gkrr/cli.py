@@ -65,7 +65,8 @@ def _select(args, data: Dataset) -> bandwidth.BandwidthResult:
     if args.grid_max is not None:
         if args.grid_max <= args.grid_min:
             raise _InputError("--grid-max must exceed --grid-min")
-        grid = np.geomspace(args.grid_min, args.grid_max, args.grid_size)
+        if args.method == bandwidth.METHOD_CV:
+            grid = bandwidth.default_cv_grid(args.grid_max, args.grid_size, args.grid_min)
     return bandwidth.select_bandwidth(
         args.method, data, args.lam, folds=args.folds, grid=grid,
         grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
@@ -162,6 +163,7 @@ def cmd_jackknife(args) -> int:
         raise _InputError("--eval-points must be >= 1")
     if args.threads < 1:
         raise _InputError("--threads must be >= 1")
+    eval_grid = None  # run_jackknife's default: the training features
     if args.holdout > 0.0:
         # reserve a seeded random reference slice; jackknife the remainder
         # and evaluate on the reference features
@@ -179,8 +181,6 @@ def cmd_jackknife(args) -> int:
         lo = float(data.features.min())
         hi = float(data.features.max())
         eval_grid = np.linspace(lo, hi, args.eval_points).reshape(-1, 1)
-    else:
-        eval_grid = data.features
     report = evaluate.run_jackknife(
         data, args.lam, methods=methods, eval_grid=eval_grid, folds=args.folds,
         grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
@@ -196,13 +196,7 @@ def cmd_jackknife(args) -> int:
     return 0
 
 
-_CLAIM_FLAGS = {
-    "prop1": verify.CLAIM_PROP1,
-    "prop2": verify.CLAIM_PROP2,
-    "prop3": verify.CLAIM_PROP3,
-    "prop4": verify.CLAIM_PROP4,
-    "bermanis": verify.CLAIM_BERMANIS,
-}
+_CLAIM_FLAGS = {claim.split("-")[0]: claim for claim in verify.CLAIMS}  # prop1-regimes -> prop1
 
 
 def _verify_points(args) -> np.ndarray:

@@ -51,6 +51,14 @@ def read_table(path) -> list[list[str]]:
         raise CsvFormatError(f"{path}: {exc}") from None
 
 
+def as_features(X) -> np.ndarray:
+    """``X`` as a float64 array; ValueError unless it is 2-D (n x p)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"features must be 2-D, got ndim={X.ndim}")
+    return X
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)  # never alias (or re-flag) caller-owned memory
     a.setflags(write=False)
@@ -69,10 +77,8 @@ class Dataset:
     response: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=float)
+        X = as_features(self.features)
         y = np.asarray(self.response, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"features must be 2-D, got ndim={X.ndim}")
         if y.ndim != 1:
             raise ValueError(f"response must be 1-D, got ndim={y.ndim}")
         if X.shape[0] < 1 or X.shape[1] < 1:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import krr
 from .bandwidth import DEFAULT_FOLDS, DEFAULT_GRID_MIN, DEFAULT_GRID_SIZE, METHODS, select_bandwidth
-from .data import Dataset, format_table, generate_synthetic, read_table
+from .data import Dataset, as_features, format_table, generate_synthetic, read_table
 from .linalg import FactorizationError
 
 AXIS_N = "n"
@@ -169,7 +169,7 @@ def run_jackknife(
     methods = tuple(methods)
     if eval_grid is None:
         eval_grid = data.features
-    eval_grid = np.atleast_2d(np.asarray(eval_grid, dtype=float))
+    eval_grid = as_features(eval_grid)
     if eval_grid.shape[1] != data.p:
         raise ValueError(f"eval_grid has {eval_grid.shape[1]} columns, data has {data.p}")
     results = _map_replicates(

@@ -1,17 +1,21 @@
 """Gaussian kernel evaluation, kernel matrices, and the data diameter.
 
-Distances use the expanded form ||a||^2 + ||b||^2 - 2 a.b with small negatives
-clamped to zero. When both kernel-matrix arguments are the same object, the
-upper triangle is mirrored so the result is exactly symmetric with a unit
-diagonal.
+Point sets are (n x p) feature matrices, checked by ``data.as_features``: a
+1-D array is rejected, not read as one point. Distances use the expanded form
+||a||^2 + ||b||^2 - 2 a.b with small negatives clamped to zero. When both
+kernel-matrix arguments are the same object, the upper triangle is mirrored
+so the result is exactly symmetric with a unit diagonal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .data import as_features
 
-def _check_sigma(sigma: float) -> float:
+
+def check_sigma(sigma: float) -> float:
+    """sigma as a float; ValueError unless it is finite and > 0."""
     sigma = float(sigma)
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
@@ -20,8 +24,8 @@ def _check_sigma(sigma: float) -> float:
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of A (m x p) and B (n x p)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    A = as_features(A)
+    B = as_features(B)
     if A.shape[1] != B.shape[1]:
         raise ValueError(
             f"column mismatch: A has {A.shape[1]} columns, B has {B.shape[1]}"
@@ -40,9 +44,9 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray | None = None, sigma: float = 1.0
     train-by-train matrix; that path mirrors the upper triangle, so symmetry
     holds to 0 ulp and the diagonal is exactly 1.
     """
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     symmetric = B is None or B is A
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = as_features(A)
     if symmetric:
         d2 = pairwise_sq_dists(A, A)
         K = np.exp(-d2 / (2.0 * sigma * sigma))
@@ -59,7 +63,7 @@ def max_pairwise_distance(X: np.ndarray) -> float:
 
     0 for a single point or when all rows coincide.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = as_features(X)
     if X.shape[0] < 1:
         raise ValueError("need at least one row")
     if X.shape[0] == 1:
@@ -74,7 +78,7 @@ def kernel_gradient_norm(d, sigma: float):
     at distance d; it vanishes at d = 0 and is maximized at d = sigma with
     value 1 / (sigma * sqrt(e)).
     """
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     dd = np.asarray(d, dtype=float)
     out = (dd / (sigma * sigma)) * np.exp(-(dd * dd) / (2.0 * sigma * sigma))
     return float(out) if np.isscalar(d) else out
@@ -87,8 +91,8 @@ def gradient_one_norm_bound(X: np.ndarray, x_star: np.ndarray, sigma: float) -> 
     which reduces to ``kernel_gradient_norm`` when p = 1. Used as the middle
     factor of the three-factor gradient bound.
     """
-    sigma = _check_sigma(sigma)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    sigma = check_sigma(sigma)
+    X = as_features(X)
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     if x_star.shape[0] != X.shape[1]:
         raise ValueError(

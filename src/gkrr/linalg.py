@@ -2,12 +2,10 @@
 
 Sized for dense problems (n up to a few thousand for solves, n <= 500 for
 eigenvalue extraction, which exists for bound verification rather than
-production paths). Factorizations are immutable after construction.
+production paths). Cholesky factors are returned read-only.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -38,19 +36,8 @@ def _check_square_symmetric(M: np.ndarray, what: str) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class SpdSolve:
-    """Lower-triangular Cholesky factor of K + lam*I."""
-
-    factor: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.factor.shape[0]
-
-
-def factor_spd(K: np.ndarray, lam: float = 0.0) -> SpdSolve:
-    """Cholesky-factor K + lam*I.
+def factor_spd(K: np.ndarray, lam: float = 0.0) -> np.ndarray:
+    """Lower-triangular Cholesky factor of K + lam*I.
 
     Raises FactorizationError with the failing pivot index when the shifted
     matrix is not positive definite (a sign that lam is too small for the
@@ -69,7 +56,7 @@ def check_lambda(lam: float) -> float:
     return lam
 
 
-def _factor(A: np.ndarray, lam: float) -> SpdSolve:
+def _factor(A: np.ndarray, lam: float) -> np.ndarray:
     """factor_spd without checks, for A = K + lam*I symmetric by construction.
     Reads the lower triangle; factors an F-ordered float64 A in place."""
     c, info = lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
@@ -82,15 +69,15 @@ def _factor(A: np.ndarray, lam: float) -> SpdSolve:
     if info < 0:
         raise ValueError(f"invalid argument {-info} passed to dpotrf")
     c.setflags(write=False)
-    return SpdSolve(factor=c)
+    return c
 
 
-def solve(s: SpdSolve, b: np.ndarray) -> np.ndarray:
-    """Solve (K + lam*I) x = b using the stored factor."""
+def solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (K + lam*I) x = b given its Cholesky factor ``c`` from factor_spd."""
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != s.n:
-        raise ValueError(f"b has length {b.shape[0]}, expected {s.n}")
-    x, info = lapack.dpotrs(s.factor, b, lower=1)
+    if b.shape[0] != c.shape[0]:
+        raise ValueError(f"b has length {b.shape[0]}, expected {c.shape[0]}")
+    x, info = lapack.dpotrs(c, b, lower=1)
     if info != 0:
         raise ValueError(f"invalid argument {-info} passed to dpotrs")
     return x

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import JacobianParams, Regime, approx_jacobian_norm, classify_regime, jacobian_sigma
-from .data import Dataset, _fmt, format_table
+from .bandwidth import JacobianParams, Regime, approx_jacobian_norm, classify_regime
+from .bandwidth import default_cv_grid, jacobian_sigma
+from .data import Dataset, _fmt, as_features, format_table
 from .kernel import gradient_one_norm_bound, kernel_gradient_norm, kernel_matrix, max_pairwise_distance
 from .krr import fit, gradient_fd
 from .lambertw import NEGATIVE
@@ -35,6 +36,11 @@ CLAIM_PROP3 = "prop3-gradmax"
 CLAIM_PROP4 = "prop4-inverse-norm"
 CLAIM_BERMANIS = "bermanis-count"
 CLAIMS = (CLAIM_PROP1, CLAIM_PROP2, CLAIM_PROP3, CLAIM_PROP4, CLAIM_BERMANIS)
+
+_PROP1_GRID_POINTS = 1000
+_PROP1_SPAN = (1e-3, 1e3)  # times l_max
+_PROP2_REL_TOL = 1e-8
+_PROP3_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -78,18 +84,17 @@ def reports_to_csv(reports) -> str:
     return format_table(rows, ["claim", "trials", "violations", "worst_margin", "seed"])
 
 
-def check_prop1_regimes(
-    params: JacobianParams, grid_points: int = 1000, span: tuple[float, float] = (1e-3, 1e3)
-) -> BoundReport:
+def check_prop1_regimes(params: JacobianParams) -> BoundReport:
     """Verify the proxy's shape for the regime selected by lambda.
 
-    Scans a log grid of ``grid_points`` bandwidths over ``span * l_max`` and
-    checks the regime-appropriate conditions: divergence at 0, the limit at
-    infinity, a (local) minimum at sigma_0 and maximum at sigma_-1, or
-    monotone descent. Margins are heterogeneous (grid cells for locations,
-    proxy differences for orderings); negative means violated.
+    Scans a log grid of 1000 bandwidths over [1e-3, 1e3] * l_max and checks
+    the regime-appropriate conditions: divergence at 0, the limit at infinity,
+    a (local) minimum at sigma_0 and maximum at sigma_-1, or monotone
+    descent. Margins are heterogeneous (grid cells for locations, proxy
+    differences for orderings); negative means violated.
     """
-    grid = np.geomspace(span[0] * params.l_max, span[1] * params.l_max, grid_points)
+    lo, hi = _PROP1_SPAN
+    grid = default_cv_grid(hi * params.l_max, _PROP1_GRID_POINTS, lo * params.l_max)
     with np.errstate(over="ignore"):
         J = np.array([approx_jacobian_norm(s, params) for s in grid])
     regime = classify_regime(params.n, params.lam)
@@ -132,8 +137,8 @@ def check_prop1_regimes(
 
     config = (
         f"claim={CLAIM_PROP1};n={params.n};p={params.p};l_max={_fmt(params.l_max)};"
-        f"lambda={_fmt(params.lam)};regime={regime.value};grid_points={grid_points};"
-        f"span={_fmt(span[0])}:{_fmt(span[1])}"
+        f"lambda={_fmt(params.lam)};regime={regime.value};grid_points={_PROP1_GRID_POINTS};"
+        f"span={_fmt(lo)}:{_fmt(hi)}"
     )
     return _report(CLAIM_PROP1, margins, seed=0, config=config)
 
@@ -144,8 +149,6 @@ def check_prop2_chain(
     lam: float,
     trials: int = 100,
     seed: int = 0,
-    rel_tol: float = 1e-8,
-    step: float | None = None,
 ) -> BoundReport:
     """Check the three-factor gradient bound at random query points.
 
@@ -155,9 +158,9 @@ def check_prop2_chain(
         ||grad f(x*)||_2 <= sqrt(n) * ||y||_2 * max_i ||grad k_i(x*)||_1
                             * 1/(s_min(K) + lambda)
 
-    with the gradient estimated by central differences. ``rel_tol`` absorbs
-    finite-difference truncation: margins carry the slack, so a violation is
-    exactly a negative margin.
+    with the gradient estimated by central differences at their default step.
+    A relative slack of 1e-8 absorbs finite-difference truncation: margins
+    carry the slack, so a violation is exactly a negative margin.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -177,38 +180,35 @@ def check_prop2_chain(
     margins = []
     for _ in range(trials):
         x_star = rng.uniform(mid - half, mid + half)
-        grad = gradient_fd(model, x_star, step)
+        grad = gradient_fd(model, x_star)
         bound = outer * gradient_one_norm_bound(X, x_star, sigma)
-        margins.append(bound * (1.0 + rel_tol) - float(np.linalg.norm(grad)))
+        margins.append(bound * (1.0 + _PROP2_REL_TOL) - float(np.linalg.norm(grad)))
     config = (
         f"claim={CLAIM_PROP2};seed={seed};n={n};p={data.p};sigma={_fmt(sigma)};"
-        f"lambda={_fmt(lam)};trials={trials};rel_tol={_fmt(rel_tol)};"
-        f"step={'auto' if step is None else _fmt(step)}"
+        f"lambda={_fmt(lam)};trials={trials};rel_tol={_fmt(_PROP2_REL_TOL)};step=auto"
     )
     return _report(CLAIM_PROP2, margins, seed=seed, config=config)
 
 
-def check_prop3_gradmax(sigma: float, grid_points: int = 10_000) -> BoundReport:
+def check_prop3_gradmax(sigma: float) -> BoundReport:
     """Check the kernel-gradient cap 1/(sigma sqrt(e)) on a distance grid.
 
     Conditions over d in [0, 10 sigma]: no grid value exceeds the cap (to
     1e-12 relative), the grid maximum comes within 1e-6 relative of the cap,
     and the argmax lands within one grid cell of d = sigma.
     """
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
-    d = np.linspace(0.0, 10.0 * sigma, grid_points)
+    d = np.linspace(0.0, 10.0 * sigma, _PROP3_GRID_POINTS)
     g = kernel_gradient_norm(d, sigma)
     cap = 1.0 / (sigma * math.sqrt(math.e))
     gmax = float(np.max(g))
     i_max = int(np.argmax(g))
-    cell = 10.0 * sigma / (grid_points - 1)
+    cell = 10.0 * sigma / (_PROP3_GRID_POINTS - 1)
     margins = [
         cap * (1.0 + 1e-12) - gmax,  # the cap really is an upper bound
         1e-6 * cap - (cap - gmax),  # and the grid max comes within 1e-6 of it
         cell - abs(float(d[i_max]) - sigma),  # attained next to d = sigma
     ]
-    config = f"claim={CLAIM_PROP3};sigma={_fmt(sigma)};grid_points={grid_points}"
+    config = f"claim={CLAIM_PROP3};sigma={_fmt(sigma)};grid_points={_PROP3_GRID_POINTS}"
     return _report(CLAIM_PROP3, margins, seed=0, config=config)
 
 
@@ -220,7 +220,7 @@ def check_prop4(X: np.ndarray, sigma: float, lam: float = 0.0) -> BoundReport:
     certifiable to eigensolver accuracy even when both sides underflow the
     inverse scale).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = as_features(X)
     n, p = X.shape
     if n < 3:
         raise ValueError(f"check_prop4 needs n >= 3, got {n}")
@@ -228,7 +228,7 @@ def check_prop4(X: np.ndarray, sigma: float, lam: float = 0.0) -> BoundReport:
     params = JacobianParams(n=n, p=p, l_max=l_max, lam=lam)
     K = kernel_matrix(X, None, sigma)
     s_min = singular_extremes(K)[1]
-    t = params.spread * math.pi * sigma / (2.0 * l_max)
+    t = params.bermanis_exponent(sigma)
     margin = n * math.exp(-t * t) - s_min
     config = (
         f"claim={CLAIM_PROP4};n={n};p={p};sigma={_fmt(sigma)};lambda={_fmt(lam)};"
@@ -244,7 +244,7 @@ def check_bermanis_count(X: np.ndarray, sigma: float, delta: float) -> BoundRepo
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = as_features(X)
     n, p = X.shape
     K = kernel_matrix(X, None, sigma)
     eigs = np.linalg.eigvalsh(K)

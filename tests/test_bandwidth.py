@@ -207,6 +207,11 @@ class TestRegime:
         assert classify_regime(10, thr) is Regime.LOCAL_MINIMUM
         assert classify_regime(10, 1.0001 * thr) is Regime.MONOTONE
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_invalid_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            classify_regime(10, lam)
+
     def test_threshold_value(self):
         assert lambda_threshold(10) == pytest.approx(2 * 10 * math.exp(-1.5), rel=1e-15)
 

@@ -71,6 +71,18 @@ class TestSelect:
         assert code == 2
         assert "row 1, column 2" in err
 
+    @pytest.mark.parametrize("grid_max", [None, 9.0])
+    def test_cv_one_point_grid_is_geometric_midpoint(self, capsys, ten_point_file, grid_max):
+        # without --grid-max the grid ends at the data diameter, here 1
+        extra = [] if grid_max is None else ["--grid-max", str(grid_max)]
+        code, out, _ = run_cli(
+            capsys, "select", "--input", str(ten_point_file), "--method", "cv",
+            "--grid-size", "1", "--folds", "3", *extra,
+        )
+        assert code == 0
+        fields = dict(ln.split("=", 1) for ln in out.strip().splitlines())
+        assert float(fields["sigma"]) == math.sqrt(0.01 * (grid_max or 1.0))
+
     @pytest.mark.parametrize("method, lam", [
         ("cv", "-0.5"), ("cv", "nan"), ("cv", "inf"), ("seeded-cv", "-0.5"),
     ])

@@ -12,6 +12,9 @@ from gkrr.data import (
     make_kfold,
     write_csv,
 )
+from gkrr.bandwidth import select_jacobian, select_silverman
+from gkrr.kernel import gradient_one_norm_bound, kernel_matrix, max_pairwise_distance, pairwise_sq_dists
+from gkrr.verify import check_bermanis_count, check_prop4
 
 
 class TestDataset:
@@ -42,6 +45,25 @@ class TestDataset:
     def test_duplicate_rows_permitted(self):
         d = Dataset(np.array([[1.0], [1.0]]), np.array([2.0, 2.0]))
         assert d.n == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: Dataset(x, np.zeros(10)),
+    lambda x: pairwise_sq_dists(x, x),
+    lambda x: kernel_matrix(x, None, 1.0),
+    lambda x: max_pairwise_distance(x),
+    lambda x: gradient_one_norm_bound(x, np.zeros(1), 1.0),
+    lambda x: select_jacobian(x, 1e-3),
+    lambda x: select_silverman(x),
+    lambda x: check_prop4(x, 1.0),
+    lambda x: check_bermanis_count(x, 1.0, 0.5),
+], ids=["Dataset", "pairwise_sq_dists", "kernel_matrix", "max_pairwise_distance",
+        "gradient_one_norm_bound", "select_jacobian", "select_silverman", "check_prop4",
+        "check_bermanis_count"])
+def test_one_d_features_rejected(call):
+    # ten 1-D values are ten points or one point; neither is guessed
+    with pytest.raises(ValueError, match="features must be 2-D, got ndim=1"):
+        call(np.linspace(0.0, 9.0, 10))
 
 
 class TestLoadCsv:

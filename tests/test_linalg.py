@@ -35,7 +35,7 @@ def random_spd(rng, n):
 class TestFactorSpd:
     def test_identity(self):
         s = factor_spd(np.eye(3), 0.0)
-        np.testing.assert_allclose(s.factor, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(s, np.eye(3), atol=1e-15)
 
     def test_rank_one_fails_without_shift(self):
         K = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -57,7 +57,7 @@ class TestFactorSpd:
         M = random_spd(rng, 12)
         s = factor_spd(M, 0.5)
         target = M + 0.5 * np.eye(12)
-        err = np.linalg.norm(s.factor @ s.factor.T - target) / np.linalg.norm(target)
+        err = np.linalg.norm(s @ s.T - target) / np.linalg.norm(target)
         assert err <= 1e-10
 
     def test_asymmetric_rejected(self):

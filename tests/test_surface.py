@@ -4,7 +4,9 @@ I/O lives.
 ``perfbench/tracer.py`` wraps functions by (module, name); renaming one of
 them would break the benchmark's traced mode without failing any other test.
 Every file gkrr writes or reads goes through ``gkrr.data``, so the table
-format is decided in one module.
+format is decided in one module. Feature matrices are checked by
+``data.as_features`` alone, and log-spaced bandwidth grids are built in
+``bandwidth`` alone.
 """
 
 import importlib
@@ -46,5 +48,24 @@ def test_only_data_opens_files():
         if path.name != "data.py"
         for needle in ("open(", "import csv")
         if needle in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_no_feature_reshaping_outside_as_features():
+    # np.atleast_2d reads a 1-D array as one point; as_features rejects it
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "atleast_2d" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_only_bandwidth_builds_log_grids():
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "bandwidth.py" and "geomspace" in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
