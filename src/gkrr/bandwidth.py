@@ -212,16 +212,17 @@ def default_cv_grid(l_max: float, size: int = DEFAULT_GRID_SIZE, lo: float = DEF
     return np.sort(np.geomspace(lo, l_max, size))
 
 
-def _cv_mean_losses(data: Dataset, lam: float, folds: int, grid: np.ndarray, seed: int) -> np.ndarray:
+def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
+                    grid: np.ndarray, seed: int) -> np.ndarray:
     """Mean validation MSE per grid sigma over a fixed fold partition.
 
     Folds are built once and reused for every sigma, so the grid comparison
-    is paired. Distances are computed once; each fold stacks the kernels of
-    ``_CV_STACK_FLOATS // m^2`` sigmas (at least one) and factors them slice by
-    slice, unchecked: symmetric by construction. A failed factor makes +inf.
+    is paired. ``neg_d2`` is the caller's -pairwise_sq_dists(X, X); each fold
+    stacks the kernels of ``_CV_STACK_FLOATS // m^2`` sigmas (at least one)
+    and factors them slice by slice, unchecked: symmetric by construction. A
+    failed factor makes +inf.
     """
-    X, y = data.features, data.response
-    neg_d2 = -pairwise_sq_dists(X, X)
+    y = data.response
     totals = np.zeros(len(grid))
     for plan in make_kfold(data.n, folds, seed):
         tr, te = plan.train_indices, plan.test_indices
@@ -244,7 +245,9 @@ def _cv_mean_losses(data: Dataset, lam: float, folds: int, grid: np.ndarray, see
     return totals / folds
 
 
-def _run_cv(data: Dataset, lam: float, folds: int, grid: np.ndarray, seed: int, method: str) -> BandwidthResult:
+def _run_cv(data: Dataset, d2: np.ndarray, lam: float, folds: int, grid: np.ndarray,
+            seed: int, method: str) -> BandwidthResult:
+    """CV over ``grid``; ``d2`` is pairwise_sq_dists(X, X), negated in place."""
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if data.n < folds:
@@ -254,8 +257,9 @@ def _run_cv(data: Dataset, lam: float, folds: int, grid: np.ndarray, seed: int, 
         raise ValueError("empty bandwidth grid")
     if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
         raise ValueError("grid bandwidths must be finite and positive")
+    check_sigma(grid[0])  # an underflowing 2 sigma^2 makes a nan loss, which argmin picks
     lam = check_lambda(lam)
-    losses = _cv_mean_losses(data, lam, folds, grid, seed)
+    losses = _cv_mean_losses(data, np.negative(d2, out=d2), lam, folds, grid, seed)
     if np.all(np.isinf(losses)):
         raise ValueError(f"CV failed at every grid bandwidth: lambda={lam} leaves a "
                          "training fold's kernel matrix not positive definite")
@@ -278,15 +282,17 @@ def select_cv(
     """Grid cross-validation: minimize mean validation MSE over k folds.
 
     Default grid: ``grid_size`` log-spaced bandwidths between ``grid_min``
-    and the data diameter. Deterministic given (data, seed).
+    and the data diameter. Deterministic given (data, seed). The distances
+    are computed once, for both the diameter and the CV kernels.
     """
+    d2 = pairwise_sq_dists(data.features, data.features)
     if grid is None:
-        l_max = max_pairwise_distance(data.features)
+        l_max = math.sqrt(float(d2.max()))
         if l_max <= 0.0:
             raise ValueError("all rows identical: cannot build the default CV grid")
         lo, hi = min(grid_min, l_max), max(grid_min, l_max)
         grid = default_cv_grid(hi, grid_size, lo)
-    return _run_cv(data, lam, folds, np.asarray(grid), seed, METHOD_CV)
+    return _run_cv(data, d2, lam, folds, np.asarray(grid), seed, METHOD_CV)
 
 
 def select_seeded_cv(
@@ -308,7 +314,8 @@ def select_seeded_cv(
         grid = np.array([sigma0])
     else:
         grid = np.geomspace(sigma0 / 5.0, 5.0 * sigma0, grid_size)
-    return _run_cv(data, lam, folds, grid, seed, METHOD_SEEDED_CV)
+    d2 = pairwise_sq_dists(data.features, data.features)
+    return _run_cv(data, d2, lam, folds, grid, seed, METHOD_SEEDED_CV)
 
 
 def select_bandwidth(

@@ -10,7 +10,6 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from . import bandwidth, evaluate, krr, plotting, verify
 from .data import CsvFormatError, Dataset, _fmt, format_table, generate_synthetic, load_csv
 from .data import read_rows, write_csv, write_text
+from .kernel import check_sigma
 from .linalg import FactorizationError
 
 
@@ -53,9 +53,12 @@ def _parse_test_size(text: str):
 
 
 def _sigma_flag(args) -> float | None:
-    """--sigma as given (None when absent); a flag error unless positive and finite."""
-    if args.sigma is not None and not 0 < args.sigma < math.inf:
-        raise _InputError("--sigma must be positive and finite")
+    """--sigma as given (None when absent); a flag error unless ``check_sigma`` passes."""
+    if args.sigma is not None:
+        try:
+            check_sigma(args.sigma)
+        except ValueError as exc:
+            raise _InputError(f"--sigma: {exc}") from None
     return args.sigma
 
 
@@ -262,7 +265,7 @@ def _add_common(p, output_required=False):
                    help="output file path")
 
 
-def _add_selector_flags(p):
+def _add_selector_flags(p, grid_max=False):
     p.add_argument("--method", default="jacobian", choices=bandwidth.METHODS,
                    help="bandwidth selection method")
     p.add_argument("--folds", type=int, default=bandwidth.DEFAULT_FOLDS, help="CV fold count")
@@ -270,8 +273,9 @@ def _add_selector_flags(p):
                    help="CV grid size")
     p.add_argument("--grid-min", type=float, default=bandwidth.DEFAULT_GRID_MIN,
                    help="CV grid lower bound")
-    p.add_argument("--grid-max", type=float, default=None,
-                   help="CV grid upper bound (default: data diameter)")
+    if grid_max:  # sweep and jackknife grids always end at the diameter
+        p.add_argument("--grid-max", type=float, default=None,
+                       help="CV grid upper bound (default: data diameter)")
 
 
 def _add_input(p, required=True):
@@ -291,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="select a bandwidth for a dataset", formatter_class=fmt)
     _add_input(p)
-    _add_selector_flags(p)
+    _add_selector_flags(p, grid_max=True)
     _add_common(p)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("fit", help="fit a model and write it to disk", formatter_class=fmt)
     _add_input(p)
-    _add_selector_flags(p)
+    _add_selector_flags(p, grid_max=True)
     p.add_argument("--sigma", type=float, default=None,
                    help="bandwidth override (skips selection)")
     _add_common(p, output_required=True)

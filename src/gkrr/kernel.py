@@ -2,24 +2,44 @@
 
 Point sets are (n x p) feature matrices, checked by ``data.as_features``: a
 1-D array is rejected, not read as one point. Distances use the expanded form
-||a||^2 + ||b||^2 - 2 a.b with small negatives clamped to zero. When both
+(||a||^2 + ||b||^2) - 2 a.b with small negatives clamped to zero. When both
 kernel-matrix arguments are the same object, the upper triangle is mirrored
 so the result is exactly symmetric with a unit diagonal.
+
+Buffers: an (m x n) distance matrix takes two m x n buffers, the result and
+the Gram product; the kernel is built in the result's buffer, so
+``kernel_matrix`` peaks at two. The diameter holds two ``_ROW_BLOCK`` x n.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .data import as_features
 
+_ROW_BLOCK = 256  # rows per block of the diameter's distance rows
+
 
 def check_sigma(sigma: float) -> float:
-    """sigma as a float; ValueError unless it is finite and > 0."""
+    """sigma as a float; ValueError unless it is finite and > 0 and the
+    kernel's scale 2 sigma^2, which divides distances, is not 0."""
     sigma = float(sigma)
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    if 2.0 * sigma * sigma == 0.0:
+        raise ValueError(f"sigma={sigma} is too small: 2*sigma^2 underflows to 0")
     return sigma
+
+
+def _sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """(aa_i + bb_j) - 2 a_i.b_j, unclamped, in two len(aa) x len(bb) buffers."""
+    d2 = np.add.outer(aa, bb)
+    G = A @ B.T
+    G *= 2.0
+    d2 -= G
+    return d2
 
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -32,9 +52,16 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         )
     aa = np.einsum("ij,ij->i", A, A)
     bb = np.einsum("ij,ij->i", B, B)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (A @ B.T)
+    d2 = _sq_dists(A, B, aa, bb)
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _exp_neg_scaled(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-d2 / (2 sigma^2)) computed in d2's buffer, which is returned."""
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * sigma * sigma
+    return np.exp(d2, out=d2)
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray | None = None, sigma: float = 1.0) -> np.ndarray:
@@ -47,28 +74,30 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray | None = None, sigma: float = 1.0
     sigma = check_sigma(sigma)
     symmetric = B is None or B is A
     A = as_features(A)
+    K = _exp_neg_scaled(pairwise_sq_dists(A, A if symmetric else B), sigma)
     if symmetric:
-        d2 = pairwise_sq_dists(A, A)
-        K = np.exp(-d2 / (2.0 * sigma * sigma))
-        upper = np.triu(K, k=1)
-        K = upper + upper.T
+        np.copyto(K, K.T, where=np.tri(K.shape[0], k=-1, dtype=bool))
         np.fill_diagonal(K, 1.0)
-        return K
-    d2 = pairwise_sq_dists(A, B)
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    return K
 
 
 def max_pairwise_distance(X: np.ndarray) -> float:
     """Diameter of the point set: max over pairs of ||x_i - x_j||_2.
 
-    0 for a single point or when all rows coincide.
+    0 for a single point or when all rows coincide. Takes the same bits as
+    sqrt(pairwise_sq_dists(X, X).max()), one block of rows at a time.
     """
     X = as_features(X)
     if X.shape[0] < 1:
         raise ValueError("need at least one row")
     if X.shape[0] == 1:
         return 0.0
-    return float(np.sqrt(pairwise_sq_dists(X, X).max()))
+    aa = np.einsum("ij,ij->i", X, X)
+    best = 0.0
+    for i in range(0, X.shape[0], _ROW_BLOCK):
+        rows = slice(i, i + _ROW_BLOCK)
+        best = max(best, float(_sq_dists(X[rows], X, aa[rows], aa).max()))
+    return math.sqrt(best)
 
 
 def kernel_gradient_norm(d, sigma: float):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, format_table, read_table, write_text
-from .kernel import kernel_matrix
-from .linalg import FactorizationError, factor_spd, solve
+from .kernel import _exp_neg_scaled, check_sigma, kernel_matrix, pairwise_sq_dists
+from .linalg import FactorizationError, _factor, check_lambda, solve
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,25 @@ class KrrModel:
 def fit(data: Dataset, sigma: float, lam: float) -> KrrModel:
     """Solve (K + lambda*I) alpha = y on the training data.
 
+    K + lambda*I is built in the distance matrix's buffer and factored in
+    place through its F-ordered transpose, whose lower triangle (the upper
+    triangle of K, the one ``kernel_matrix`` mirrors) is all LAPACK reads; so
+    alpha has the bits of ``solve(factor_spd(kernel_matrix(X, None, sigma),
+    lambda), y)``. ``factor_spd`` is skipped: its symmetry check and copies
+    cost more than half the factorization, on a matrix symmetric by
+    construction.
+
     With lambda = 0 and duplicate training rows the kernel matrix is singular
     and the factorization fails; callers wanting interpolation must
     deduplicate or regularize.
     """
-    K = kernel_matrix(data.features, None, sigma)
+    sigma = check_sigma(sigma)
+    lam = check_lambda(lam)
+    X = data.features
+    K = _exp_neg_scaled(pairwise_sq_dists(X, X), sigma)
+    np.fill_diagonal(K, 1.0 + lam)
     try:
-        alpha = solve(factor_spd(K, lam), data.response)
+        alpha = solve(_factor(K.T, lam), data.response)
     except FactorizationError as exc:
         raise FactorizationError(
             f"{exc} (n={data.n}, sigma={sigma}: sigma may be too large relative to lambda)",

@@ -22,7 +22,7 @@ from gkrr.bandwidth import (
     _cv_mean_losses,
 )
 from gkrr.data import Dataset, generate_synthetic, make_kfold
-from gkrr.kernel import kernel_matrix, max_pairwise_distance
+from gkrr.kernel import kernel_matrix, max_pairwise_distance, pairwise_sq_dists
 from gkrr.lambertw import NEGATIVE
 from gkrr.linalg import FactorizationError, factor_spd, solve
 
@@ -306,6 +306,25 @@ class TestSelectCv:
         assert a.sigma == b.sigma
         assert a.cv_curve == b.cv_curve
 
+    def test_distances_computed_once(self, monkeypatch):
+        import gkrr.bandwidth as bw
+
+        calls = []
+        real = bw.pairwise_sq_dists
+        monkeypatch.setattr(bw, "pairwise_sq_dists", lambda A, B: calls.append(1) or real(A, B))
+        monkeypatch.setattr(bw, "max_pairwise_distance", None)  # l_max from the same matrix
+        data = generate_synthetic(30, 0.1, seed=6)
+        res = select_cv(data, 1e-3, folds=5, grid_size=9)
+        assert len(calls) == 1
+        assert res.cv_curve[-1][0] == max_pairwise_distance(data.features)
+
+    @pytest.mark.parametrize("tiny", [1e-300, 1e-170])
+    def test_underflowing_grid_bandwidth_rejected(self, tiny):
+        # 2 sigma^2 = 0 gave a nan loss, and argmin picks the first nan
+        data = Dataset(np.array([[0.0], [0.0], [1.0], [2.0], [3.0], [4.0]]), np.arange(6.0))
+        with pytest.raises(ValueError, match="underflows"):
+            select_cv(data, 0.1, folds=2, grid=np.array([tiny, 0.5, 9.0]))
+
     def test_curve_covers_grid(self):
         data = generate_synthetic(25, 0.1, seed=2)
         res = select_cv(data, 1e-3, grid_size=17, seed=1)
@@ -381,7 +400,7 @@ class TestCvLossesExact:
             data = Dataset(X, np.sin(2 * np.pi * X[:, 0]) + rng.normal(0.0, 0.1, n))
             # up to 20 diameters, so lam=0 fails at the wide end of the grid
             grid = default_cv_grid(20 * max_pairwise_distance(X), 37)
-            new = _cv_mean_losses(data, lam, 4, grid, seed)
+            new = _cv_mean_losses(data, -pairwise_sq_dists(X, X), lam, 4, grid, seed)
             ref = reference_cv_losses(data, lam, 4, grid, seed)
             inf = np.isinf(ref)
             np.testing.assert_array_equal(np.isinf(new), inf)

@@ -229,7 +229,7 @@ class TestFitPredict:
         assert err.startswith("gkrr: input error:")
         assert not pred_path.exists()
 
-    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf", "1e-300"])
     def test_invalid_sigma_exit_2(self, capsys, tmp_path, ten_point_file, sigma):
         model_path = tmp_path / "model.csv"
         code, _, err = run_cli(
@@ -255,6 +255,25 @@ class TestSynth:
         ref = generate_synthetic(12, 0.1, seed=3)
         np.testing.assert_array_equal(d.features, ref.features)
         np.testing.assert_array_equal(d.response, ref.response)
+
+
+class TestUnderflowingGrid:
+    @pytest.fixture
+    def dup_file(self, tmp_path):
+        # 8 rows, the first two share x = 0: a nan loss if 2 sigma^2 underflows
+        path = tmp_path / "dup.csv"
+        path.write_text("0,1\n0,2\n1,0.5\n2,0.1\n3,-1\n4,0.3\n5,0.9\n6,1.2\n")
+        return path
+
+    @pytest.mark.parametrize("grid_min", ["1e-300", "0"])
+    def test_cv_select_exit_3(self, capsys, dup_file, grid_min):
+        code, out, err = run_cli(
+            capsys, "select", "--input", str(dup_file), "--method", "cv",
+            "--grid-min", grid_min, "--grid-max", "9", "--grid-size", "3",
+            "--folds", "2", "--lambda", "0.1",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("gkrr: error:")
 
 
 class TestSweep:
@@ -328,6 +347,30 @@ class TestSweep:
         assert code == 2
         assert "--test-size" in err and "--input" in err
         assert not out_path.exists()
+
+
+class TestGridMaxOnlyWhereUsed:
+    """--grid-max is registered on select and fit only: sweep and jackknife
+    grids end at the diameter, so the flag there is a flag error."""
+
+    def test_sweep_rejects_grid_max(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--axis", "n", "--values", "10", "--repeats", "2",
+            "--grid-max", "3", "--output", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert "--grid-max" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_jackknife_rejects_grid_max(self, capsys, tmp_path, ten_point_file):
+        code, _, err = run_cli(
+            capsys, "jackknife", "--input", str(ten_point_file), "--grid-max", "3",
+            "--output", str(tmp_path / "j.csv"),
+        )
+        assert code == 2
+        assert "--grid-max" in err
+        assert not (tmp_path / "j.csv").exists()
+
 
 class TestJackknife:
     def test_basic_run(self, capsys, tmp_path):
@@ -434,7 +477,7 @@ class TestVerify:
 
 
     @pytest.mark.parametrize("claim", ["prop3", "prop4"])
-    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf", "1e-300"])
     def test_invalid_sigma_exit_2(self, capsys, claim, sigma):
         code, out, err = run_cli(capsys, "verify", "--claim", claim, "--sigma", sigma)
         assert code == 2

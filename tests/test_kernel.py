@@ -10,6 +10,7 @@ from gkrr.kernel import (
     kernel_gradient_norm,
     kernel_matrix,
     max_pairwise_distance,
+    pairwise_sq_dists,
 )
 
 
@@ -44,7 +45,8 @@ class TestGaussian:
         assert k_at(s * math.sqrt(2 * math.log(2)), s) == pytest.approx(0.5, rel=1e-14)
 
     def test_sigma_must_be_positive(self):
-        for sigma in (0.0, -1.0, float("nan"), float("inf")):
+        # 1e-300 and 1e-170: 2 sigma^2 underflows to 0
+        for sigma in (0.0, -1.0, float("nan"), float("inf"), 1e-300, 1e-170):
             with pytest.raises(ValueError):
                 k_at(1.0, sigma)
 
@@ -120,6 +122,19 @@ class TestMaxPairwiseDistance:
             for j in range(i + 1, 100):
                 best = max(best, float(np.linalg.norm(X[i] - X[j])))
         assert max_pairwise_distance(X) == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_row_blocks_match_full_matrix(self, n):
+        # block edges at 256 rows; the farthest pair is the last two rows, so
+        # a loop that stops a block early misses it
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-5.0, 5.0, (n, 3))
+        X[-1] = [9.0, -9.0, 9.0]
+        X[-2] = [-9.0, 9.0, -9.0]
+        got = max_pairwise_distance(X)
+        assert got == math.sqrt(pairwise_sq_dists(X, X).max())
+        brute = max(float(np.sqrt(((X - x) ** 2).sum(axis=1)).max()) for x in X)
+        assert got == pytest.approx(brute, rel=1e-14)
 
 
 class TestKernelGradientNorm:

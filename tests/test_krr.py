@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gkrr.data import Dataset, generate_synthetic
-from gkrr.kernel import kernel_matrix
+from gkrr.kernel import kernel_matrix, max_pairwise_distance
 from gkrr.krr import KrrModel, fit, gradient_fd, load_model, predict, save_model
-from gkrr.linalg import FactorizationError, singular_extremes
+from gkrr.linalg import FactorizationError, factor_spd, singular_extremes, solve
 
 
 def analytic_gradient(model, x_star):
@@ -57,6 +58,64 @@ class TestFit:
             np.linalg.norm(fit(data, 0.3, lam).alpha) for lam in (1e-4, 1e-2, 1.0, 10.0)
         ]
         assert all(a >= b for a, b in zip(norms, norms[1:]))
+
+
+class TestFitInPlace:
+    """fit builds K + lambda*I in one buffer and factors it without
+    factor_spd's checks; its results must be the checked route's, bit for bit."""
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 3), (40, 1), (257, 2), (300, 5)])
+    def test_alpha_matches_public_route(self, n, p):
+        rng = np.random.default_rng(10 * n + p)
+        X = rng.uniform(-5.0, 5.0, (n, p))
+        y = rng.normal(size=n)
+        for sigma, lam in ((0.3, 1e-3), (2.0, 0.1), (0.05, 0.0)):
+            ref = solve(factor_spd(kernel_matrix(X, None, sigma), lam), y)
+            np.testing.assert_array_equal(fit(Dataset(X, y), sigma, lam).alpha, ref)
+
+    def test_pivot_at_lambda_zero_matches_public_route(self):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1.0, 1.0, (9, 2))
+        X[6] = X[2]  # duplicate rows: K is singular at lambda = 0
+        with pytest.raises(FactorizationError) as ref:
+            factor_spd(kernel_matrix(X, None, 0.5), 0.0)
+        with pytest.raises(FactorizationError) as got:
+            fit(Dataset(X, np.ones(9)), 0.5, 0.0)
+        assert got.value.pivot == ref.value.pivot == 7
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Peak traced allocation in units of n x n (or m x n) float64 buffers."""
+
+    n, m = 1500, 700
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-5.0, 5.0, (self.n, 3))
+        return Dataset(X, rng.normal(size=self.n)), rng.uniform(-5.0, 5.0, (self.m, 3))
+
+    def test_diameter_below_0_6_buffers(self, problem):
+        data, _ = problem
+        assert _peak_bytes(lambda: max_pairwise_distance(data.features)) < 0.6 * self.n**2 * 8
+
+    def test_fit_below_2_2_buffers(self, problem):
+        data, _ = problem
+        assert _peak_bytes(lambda: fit(data, 0.5, 1e-3)) < 2.2 * self.n**2 * 8
+
+    def test_predict_below_2_2_buffers(self, problem):
+        data, Q = problem
+        model = fit(data, 0.5, 1e-3)
+        assert _peak_bytes(lambda: predict(model, Q)) < 2.2 * self.m * self.n * 8
 
 
 class TestPredict:
