@@ -10,6 +10,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -64,6 +65,9 @@ def _sigma_flag(args) -> float | None:
 
 def _select(args, data: Dataset) -> bandwidth.BandwidthResult:
     """Run the --method selector; --grid-max gives CV an explicit log grid."""
+    for flag, value in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+        if value is not None and not math.isfinite(value):
+            raise _InputError(f"{flag} must be finite, got {value}")
     grid = None
     if args.grid_max is not None:
         if args.grid_max <= args.grid_min:
@@ -119,8 +123,8 @@ def cmd_predict(args) -> int:
 def cmd_synth(args) -> int:
     if args.n < 1:
         raise _InputError("--n must be >= 1")
-    if args.noise_sd < 0:
-        raise _InputError("--noise-sd must be >= 0")
+    if not 0.0 <= args.noise_sd < math.inf:
+        raise _InputError("--noise-sd must be finite and >= 0")
     data = generate_synthetic(args.n, args.noise_sd, args.seed)
     write_csv(data, args.output)
     print(f"rows={data.n}")
@@ -130,6 +134,8 @@ def cmd_synth(args) -> int:
 def cmd_sweep(args) -> int:
     if args.threads < 1:
         raise _InputError("--threads must be >= 1")
+    if not 0.0 <= args.noise_sd < math.inf:
+        raise _InputError("--noise-sd must be finite and >= 0")
     values = _parse_values(args.values)
     if not values:
         raise _InputError("--values is empty")
@@ -138,18 +144,16 @@ def cmd_sweep(args) -> int:
     test_size = _parse_test_size(args.test_size)
     if isinstance(test_size, float) and data is None:
         raise _InputError("a fractional --test-size needs --input")
-    if args.axis == evaluate.AXIS_N:
-        kwargs = {"fixed_lambda": args.lam}
-        values = [int(v) for v in values]
-    else:
-        if args.n is None:
-            raise _InputError("a lambda-axis sweep needs --n (fixed training size)")
-        kwargs = {"fixed_n": args.n}
+    if args.axis == evaluate.AXIS_LAMBDA and args.n is None:
+        raise _InputError("a lambda-axis sweep needs --n (fixed training size)")
+    if args.axis == evaluate.AXIS_N and not all(v.is_integer() for v in values):
+        raise _InputError(f"n-axis --values must be whole numbers, got {args.values!r}")
     report = evaluate.run_sweep(
         args.axis, values, data=data, noise_sd=args.noise_sd,
-        repeats=args.repeats, test_size=test_size, methods=methods,
-        folds=args.folds, grid_size=args.grid_size, grid_min=args.grid_min,
-        seed=args.seed, threads=args.threads, **kwargs,
+        fixed_n=args.n, fixed_lambda=args.lam, repeats=args.repeats,
+        test_size=test_size, methods=methods, folds=args.folds,
+        grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
+        threads=args.threads,
     )
     write_text(args.output, evaluate.sweep_to_csv(report))
     print(f"points={len(report.points)}")
@@ -173,13 +177,9 @@ def cmd_jackknife(args) -> int:
         n_ref = max(1, round(args.holdout * data.n))
         if data.n - n_ref < 3:
             raise _InputError("holdout leaves fewer than 3 training rows")
-        perm = np.random.default_rng(
-            evaluate._derived_seed(args.seed, 5, 0)
-        ).permutation(data.n)
-        ref = np.sort(perm[:n_ref])
-        keep = np.sort(perm[n_ref:])
+        ref, rest = evaluate.seeded_split(data.n, n_ref, args.seed, 5, 0)
         eval_grid = data.features[ref]
-        data = data.subset(keep)
+        data = data.subset(np.sort(rest))
     elif data.p == 1:
         lo = float(data.features.min())
         hi = float(data.features.max())
@@ -265,17 +265,17 @@ def _add_common(p, output_required=False):
                    help="output file path")
 
 
-def _add_selector_flags(p, grid_max=False):
-    p.add_argument("--method", default="jacobian", choices=bandwidth.METHODS,
-                   help="bandwidth selection method")
+def _add_selector_flags(p, one_method=False):
+    if one_method:  # sweep and jackknife take --methods; their CV grids end at the diameter
+        p.add_argument("--method", default="jacobian", choices=bandwidth.METHODS,
+                       help="bandwidth selection method")
+        p.add_argument("--grid-max", type=float, default=None,
+                       help="CV grid upper bound (default: data diameter)")
     p.add_argument("--folds", type=int, default=bandwidth.DEFAULT_FOLDS, help="CV fold count")
     p.add_argument("--grid-size", type=int, default=bandwidth.DEFAULT_GRID_SIZE,
                    help="CV grid size")
     p.add_argument("--grid-min", type=float, default=bandwidth.DEFAULT_GRID_MIN,
                    help="CV grid lower bound")
-    if grid_max:  # sweep and jackknife grids always end at the diameter
-        p.add_argument("--grid-max", type=float, default=None,
-                       help="CV grid upper bound (default: data diameter)")
 
 
 def _add_input(p, required=True):
@@ -291,35 +291,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "bandwidth selection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    # flags match only in full, or sweep's --methods would take a --method
+    kw = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter, allow_abbrev=False)
 
-    p = sub.add_parser("select", help="select a bandwidth for a dataset", formatter_class=fmt)
+    p = sub.add_parser("select", help="select a bandwidth for a dataset", **kw)
     _add_input(p)
-    _add_selector_flags(p, grid_max=True)
+    _add_selector_flags(p, one_method=True)
     _add_common(p)
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("fit", help="fit a model and write it to disk", formatter_class=fmt)
+    p = sub.add_parser("fit", help="fit a model and write it to disk", **kw)
     _add_input(p)
-    _add_selector_flags(p, grid_max=True)
+    _add_selector_flags(p, one_method=True)
     p.add_argument("--sigma", type=float, default=None,
                    help="bandwidth override (skips selection)")
     _add_common(p, output_required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="predict from a saved model", formatter_class=fmt)
+    p = sub.add_parser("predict", help="predict from a saved model", **kw)
     p.add_argument("--model", required=True, help="model file from 'fit'")
     _add_input(p)
-    _add_common(p, output_required=True)
+    p.add_argument("--output", required=True, help="output file path")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("synth", help="generate the synthetic sine dataset", formatter_class=fmt)
+    p = sub.add_parser("synth", help="generate the synthetic sine dataset", **kw)
     p.add_argument("--n", type=int, required=True, help="number of observations")
     p.add_argument("--noise-sd", type=float, default=0.1, help="noise standard deviation")
-    _add_common(p, output_required=True)
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    p.add_argument("--output", required=True, help="output file path")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("sweep", help="n- or lambda-sweep with repeated splits", formatter_class=fmt)
+    p = sub.add_parser("sweep", help="n- or lambda-sweep with repeated splits", **kw)
     p.add_argument("--axis", required=True, choices=(evaluate.AXIS_N, evaluate.AXIS_LAMBDA))
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--n", type=int, default=None, help="fixed training size (lambda axis)")
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, output_required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("jackknife", help="leave-one-out stability study", formatter_class=fmt)
+    p = sub.add_parser("jackknife", help="leave-one-out stability study", **kw)
     _add_input(p)
     p.add_argument("--methods", default=",".join(bandwidth.METHODS),
                    help="comma-separated methods to compare")
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, output_required=True)
     p.set_defaults(func=cmd_jackknife)
 
-    p = sub.add_parser("verify", help="run a numerical bound check", formatter_class=fmt)
+    p = sub.add_parser("verify", help="run a numerical bound check", **kw)
     p.add_argument("--claim", required=True, choices=sorted(_CLAIM_FLAGS))
     p.add_argument("--n", type=int, default=10, help="instance size")
     p.add_argument("--p", type=int, default=1, help="feature dimension")
@@ -363,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("plot", help="render a sweep report as SVG", formatter_class=fmt)
+    p = sub.add_parser("plot", help="render a sweep report as SVG", **kw)
     p.add_argument("--input", required=True, help="sweep report CSV")
-    _add_common(p, output_required=True)
+    p.add_argument("--output", required=True, help="output file path")
     p.set_defaults(func=cmd_plot)
 
     return parser

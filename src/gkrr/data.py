@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,22 +106,11 @@ class Dataset:
         return Dataset(self.features[idx], self.response[idx])
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Disjoint train/test index lists over ``range(n)``."""
+class SplitPlan(NamedTuple):
+    """Disjoint sorted train/test index arrays over ``range(n)`` (``make_kfold``'s)."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-
-    def __post_init__(self):
-        tr = np.asarray(self.train_indices, dtype=np.int64)
-        te = np.asarray(self.test_indices, dtype=np.int64)
-        if len(np.intersect1d(tr, te)) > 0:
-            raise ValueError("train and test indices overlap")
-        if len(np.unique(tr)) != len(tr) or len(np.unique(te)) != len(te):
-            raise ValueError("duplicate indices within a split")
-        object.__setattr__(self, "train_indices", _freeze(tr))
-        object.__setattr__(self, "test_indices", _freeze(te))
 
 
 def read_rows(path, has_header: bool = False) -> np.ndarray:
@@ -185,8 +175,8 @@ def generate_synthetic(n: int, noise_sd: float = 0.1, seed: int = 0) -> Dataset:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
+    if not 0.0 <= noise_sd < math.inf:
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-5.0, 5.0, size=n)
     eps = rng.normal(0.0, noise_sd, size=n) if noise_sd > 0 else np.zeros(n)
@@ -202,15 +192,6 @@ def make_kfold(n: int, k: int, seed: int = 0) -> list[SplitPlan]:
     """
     if not 2 <= k <= n:
         raise ValueError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    base, extra = divmod(n, k)
-    plans = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        test = np.sort(perm[start : start + size])
-        train = np.sort(np.concatenate([perm[:start], perm[start + size :]]))
-        plans.append(SplitPlan(train_indices=train, test_indices=test))
-        start += size
-    return plans
+    # array_split makes the first n % k folds one index longer
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    return [SplitPlan(np.delete(np.arange(n), f), np.sort(f)) for f in folds]

@@ -21,7 +21,7 @@ import numpy as np
 from . import krr
 from .bandwidth import DEFAULT_FOLDS, DEFAULT_GRID_MIN, DEFAULT_GRID_SIZE, METHODS, select_bandwidth
 from .data import Dataset, as_features, format_table, generate_synthetic, read_table
-from .linalg import FactorizationError
+from .linalg import FactorizationError, check_lambda
 
 AXIS_N = "n"
 AXIS_LAMBDA = "lambda"
@@ -36,6 +36,13 @@ def _derived_seed(*parts: int) -> int:
     """Deterministic 64-bit sub-seed from integer parts (PCG64 SeedSequence)."""
     ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def seeded_split(n: int, head: int, seed: int, stream: int, index: int):
+    """Permute ``range(n)`` with the (seed, stream, index) sub-seed; return the
+    first ``head`` indices sorted, and the rest in permutation order."""
+    perm = np.random.default_rng(_derived_seed(seed, stream, index)).permutation(n)
+    return np.sort(perm[:head]), perm[head:]
 
 
 def r_squared(y_true, y_pred) -> float:
@@ -83,10 +90,9 @@ def _run_replicate(task: _Replicate) -> dict:
         train = generate_synthetic(task.n_train, task.noise_sd, _derived_seed(task.seed, 1, r))
         test = generate_synthetic(task.test_count, task.noise_sd, _derived_seed(task.seed, 2, r))
     elif task.eval_grid is None:
-        perm = np.random.default_rng(_derived_seed(task.seed, 4, r)).permutation(data.n)
-        t = task.test_count
-        test = data.subset(np.sort(perm[:t]))
-        train = data.subset(np.sort(perm[t : t + task.n_train]))
+        test_rows, rest = seeded_split(data.n, task.test_count, task.seed, 4, r)
+        test = data.subset(test_rows)
+        train = data.subset(np.sort(rest[: task.n_train]))
     else:
         train = data.subset(np.delete(np.arange(data.n), r))
     fold_seed = _derived_seed(task.seed, 3, r)
@@ -133,6 +139,20 @@ def _map_replicates(tasks: list[_Replicate], threads: int) -> list[dict]:
         pool.shutdown(cancel_futures=True)
 
 
+def _method_rows(results: list[dict], method: str) -> list:
+    """``method``'s (sigma, value) rows from the replicates where it succeeded."""
+    return [res[method] for res in results if res[method] is not None]
+
+
+def _mean_sd(values: list, shape=()) -> tuple:
+    """Mean and n-1 sd over replicates of values of ``shape``: sd 0 for one
+    replicate, nan for none."""
+    if not values:
+        return np.full(shape, math.nan), np.full(shape, math.nan)
+    a = np.array(values)
+    return a.mean(axis=0), a.std(axis=0, ddof=1) if len(a) > 1 else np.zeros(shape)
+
+
 @dataclass(frozen=True)
 class JackknifeReport:
     """Leave-one-out means and spreads of predictions and bandwidths."""
@@ -164,6 +184,7 @@ def run_jackknife(
     ``eval_grid`` (default: the training features). Standard deviations use
     the n-1 denominator over the replicates that succeeded.
     """
+    lam = check_lambda(lam)
     if data.n < 3:
         raise ValueError(f"jackknife harness needs n >= 3, got {data.n}")
     methods = tuple(methods)
@@ -179,22 +200,11 @@ def run_jackknife(
     )
 
     mean_pred, sd_pred, mean_sig, sd_sig, excl = {}, {}, {}, {}, {}
-    m_points = eval_grid.shape[0]
     for m in methods:
-        rows = [res[m] for res in results if res[m] is not None]
+        rows = _method_rows(results, m)
         excl[m] = data.n - len(rows)
-        if not rows:
-            mean_pred[m] = np.full(m_points, np.nan)
-            sd_pred[m] = np.full(m_points, np.nan)
-            mean_sig[m] = math.nan
-            sd_sig[m] = math.nan
-            continue
-        sigmas = np.array([r[0] for r in rows])
-        preds = np.array([r[1] for r in rows])
-        mean_pred[m] = preds.mean(axis=0)
-        sd_pred[m] = preds.std(axis=0, ddof=1) if len(rows) > 1 else np.zeros(m_points)
-        mean_sig[m] = float(sigmas.mean())
-        sd_sig[m] = float(sigmas.std(ddof=1)) if len(rows) > 1 else 0.0
+        mean_pred[m], sd_pred[m] = _mean_sd([r[1] for r in rows], eval_grid.shape[:1])
+        mean_sig[m], sd_sig[m] = map(float, _mean_sd([r[0] for r in rows]))
     return JackknifeReport(
         grid=eval_grid,
         methods=methods,
@@ -257,24 +267,24 @@ class SweepReport:
     seed: int
 
 
-def _summarize(values_r2: list[float], values_sigma: list[float], repeats: int) -> MethodStats:
-    excluded = repeats - len(values_r2)
-    if not values_r2:
+def _summarize(rows: list, repeats: int) -> MethodStats:
+    """One method's stats from its successful (sigma, R^2) rows of ``repeats``."""
+    excluded = repeats - len(rows)
+    if not rows:
         nan = math.nan
         return MethodStats(nan, nan, nan, nan, nan, nan, nan, excluded)
-    r2 = np.asarray(values_r2)
-    sg = np.asarray(values_sigma)
+    sg, r2 = [r[0] for r in rows], [r[1] for r in rows]
+    mean_s, sd_s = _mean_sd(sg)
     p05_r2, p95_r2 = np.percentile(r2, [5.0, 95.0])  # type-7 linear interpolation
     p05_s, p95_s = np.percentile(sg, [5.0, 95.0])
-    sd_s = float(sg.std(ddof=1)) if len(sg) > 1 else 0.0
     return MethodStats(
-        mean_r2=float(r2.mean()),
+        mean_r2=float(np.mean(r2)),
         p05_r2=float(p05_r2),
         p95_r2=float(p95_r2),
-        mean_sigma=float(sg.mean()),
+        mean_sigma=float(mean_s),
         p05_sigma=float(p05_s),
         p95_sigma=float(p95_s),
-        sd_sigma=sd_s,
+        sd_sigma=float(sd_s),
         excluded=excluded,
     )
 
@@ -325,7 +335,7 @@ def run_sweep(
     tasks = []
     for v in axis_values:
         n_train = int(v) if axis == AXIS_N else int(fixed_n)
-        lam = float(fixed_lambda) if axis == AXIS_N else float(v)
+        lam = check_lambda(fixed_lambda if axis == AXIS_N else v)
         if data is not None and n_train + test_count > data.n:
             raise ValueError(
                 f"cannot split {data.n} rows into train={n_train} plus test={test_count}"
@@ -338,12 +348,7 @@ def run_sweep(
     points = []
     for k, v in enumerate(axis_values):
         block = results[k * repeats : (k + 1) * repeats]
-        stats = {}
-        for m in methods:
-            good = [res[m] for res in block if res[m] is not None]
-            stats[m] = _summarize([g[1] for g in good], [g[0] for g in good], repeats)
-        points.append(SweepPoint(axis_value=v, stats=stats))
-
+        points.append(SweepPoint(v, {m: _summarize(_method_rows(block, m), repeats) for m in methods}))
     return SweepReport(
         axis=axis, methods=methods, points=tuple(points), repeats=repeats, seed=seed
     )

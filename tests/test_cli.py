@@ -1,9 +1,10 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from gkrr.cli import main
+from gkrr.cli import build_parser, main
 from gkrr.data import generate_synthetic, load_csv, write_csv
 
 
@@ -241,6 +242,18 @@ class TestFitPredict:
         assert not model_path.exists()
 
 class TestSynth:
+    @pytest.mark.parametrize("noise_sd", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--n", "10"],
+        ["sweep", "--axis", "n", "--values", "10", "--repeats", "2", "--test-size", "20"],
+    ], ids=["synth", "sweep"])
+    def test_noise_sd_out_of_range_exit_2(self, capsys, tmp_path, argv, noise_sd):
+        out_path = tmp_path / "o.csv"
+        code, out, err = run_cli(capsys, *argv, "--noise-sd", noise_sd, "--output", str(out_path))
+        assert (code, out) == (2, "")
+        assert "--noise-sd must be finite and >= 0" in err
+        assert not out_path.exists()
+
     def test_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -255,6 +268,20 @@ class TestSynth:
         ref = generate_synthetic(12, 0.1, seed=3)
         np.testing.assert_array_equal(d.features, ref.features)
         np.testing.assert_array_equal(d.response, ref.response)
+
+
+@pytest.mark.parametrize("cmd", ["select", "fit"])
+@pytest.mark.parametrize("flag", ["--grid-min", "--grid-max"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_grid_flag_exit_2(capsys, tmp_path, ten_point_file, cmd, flag, value):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        capsys, cmd, "--input", str(ten_point_file), "--method", "cv", flag, value,
+        "--output", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("gkrr: input error:") and flag in err
+    assert not out_path.exists()
 
 
 class TestUnderflowingGrid:
@@ -338,6 +365,32 @@ class TestSweep:
         assert "--n" in err
 
 
+    @pytest.mark.parametrize("values", ["10.5", "10,12.25", "inf", "nan"])
+    def test_n_axis_values_must_be_whole(self, capsys, tmp_path, values):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "n", "--values", values, "--repeats", "2",
+            "--test-size", "20", "--methods", "jacobian", "--output", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert "--values" in err and "whole" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--axis", "n", "--values", "10", "--lambda", "inf"],
+        ["--axis", "n", "--values", "10", "--lambda", "-1"],
+        ["--axis", "lambda", "--values", "1e-3,-1", "--n", "10"],
+    ])
+    def test_invalid_lambda_exit_3(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", *argv, "--repeats", "2", "--test-size", "20",
+            "--methods", "jacobian", "--output", str(out_path),
+        )
+        assert (code, out) == (3, "")
+        assert "lambda must be finite and >= 0" in err
+        assert not out_path.exists()
+
     def test_fractional_test_size_needs_input(self, capsys, tmp_path):
         out_path = tmp_path / "x.csv"
         code, _, err = run_cli(
@@ -370,6 +423,77 @@ class TestGridMaxOnlyWhereUsed:
         assert code == 2
         assert "--grid-max" in err
         assert not (tmp_path / "j.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "n", "--values", "10", "--repeats", "2"],
+        ["jackknife", "--input", "{data}"],
+    ], ids=["sweep", "jackknife"])
+    def test_harness_rejects_method(self, capsys, tmp_path, ten_point_file, argv):
+        # sweep and jackknife compare the methods named in --methods
+        out_path = tmp_path / "o.csv"
+        argv = [a.replace("{data}", str(ten_point_file)) for a in argv]
+        code, _, err = run_cli(capsys, *argv, "--method", "cv", "--output", str(out_path))
+        assert code == 2
+        assert "--method" in err
+        assert not out_path.exists()
+
+
+class TestEveryFlagRead:
+    """Every flag a subcommand registers is read on at least one of its
+    branches: a flag that is never read is accepted and silently ignored."""
+
+    ARGVS = {
+        "select": [["select", "--input", "{data}", "--method", "cv", "--grid-max", "2",
+                    "--grid-size", "5", "--folds", "2", "--output", "{out}"]],
+        "fit": [["fit", "--input", "{data}", "--method", "cv", "--grid-max", "2",
+                 "--grid-size", "5", "--folds", "2", "--output", "{out}"]],
+        "predict": [["predict", "--model", "{model}", "--input", "{query}", "--output", "{out}"]],
+        "synth": [["synth", "--n", "5", "--output", "{out}"]],
+        "sweep": [
+            ["sweep", "--axis", "n", "--values", "6", "--repeats", "2", "--test-size", "5",
+             "--methods", "jacobian", "--output", "{out}"],
+            ["sweep", "--axis", "lambda", "--values", "0.1", "--n", "6", "--repeats", "2",
+             "--test-size", "0.3", "--methods", "jacobian", "--input", "{data}",
+             "--output", "{out}"],
+        ],
+        "jackknife": [
+            ["jackknife", "--input", "{data}", "--methods", "jacobian", "--output", "{out}"],
+            ["jackknife", "--input", "{data}", "--methods", "jacobian", "--holdout", "0.3",
+             "--output", "{out}"],
+        ],
+        "verify": [
+            ["verify", "--claim", "prop1"],
+            ["verify", "--claim", "prop2", "--n", "5", "--trials", "2"],
+            ["verify", "--claim", "prop3"],
+            ["verify", "--claim", "prop4"],
+            ["verify", "--claim", "bermanis"],
+        ],
+        "plot": [["plot", "--input", "{sweep}", "--output", "{out}"]],
+    }
+
+    @pytest.mark.parametrize("sub", sorted(ARGVS))
+    def test_every_registered_flag_is_read(self, capsys, tmp_path, ten_point_file, sub):
+        paths = {"data": ten_point_file, "out": tmp_path / "out", "model": tmp_path / "m.csv",
+                 "sweep": tmp_path / "s.csv", "query": tmp_path / "q.csv"}
+        paths["query"].write_text("0.5\n")
+        assert main(["fit", "--input", str(ten_point_file), "--output", str(paths["model"])]) == 0
+        assert main(["sweep", "--axis", "n", "--values", "6", "--repeats", "2",
+                     "--test-size", "5", "--methods", "jacobian",
+                     "--output", str(paths["sweep"])]) == 0
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        registered = set()
+        for argv in self.ARGVS[sub]:
+            args = build_parser().parse_args([a.format(**paths) for a in argv])
+            registered |= set(vars(args)) - {"command", "func"}
+            assert args.func(Recording(**vars(args))) == 0
+        capsys.readouterr()
+        assert sorted(registered - reads) == []
 
 
 class TestJackknife:
@@ -413,6 +537,17 @@ class TestJackknife:
         )
         assert code == 2
         assert "--eval-points" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("lam", ["-1", "inf", "nan"])
+    def test_invalid_lambda_exit_3(self, capsys, tmp_path, ten_point_file, lam):
+        out_path = tmp_path / "jk.csv"
+        code, out, err = run_cli(
+            capsys, "jackknife", "--input", str(ten_point_file), "--methods", "jacobian",
+            "--lambda", lam, "--output", str(out_path),
+        )
+        assert (code, out) == (3, "")
+        assert "lambda must be finite and >= 0" in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])

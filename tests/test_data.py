@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gkrr.data import (
     CsvFormatError,
     Dataset,
-    SplitPlan,
     generate_synthetic,
     load_csv,
     make_kfold,
@@ -155,6 +154,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(0, 0.1, seed=0)
 
+    @pytest.mark.parametrize("noise_sd", [-1.0, float("nan"), float("inf")])
+    def test_noise_sd_must_be_finite_and_non_negative(self, noise_sd):
+        # nan < 0 is false: a nan noise level once drew noiseless data
+        with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
+            generate_synthetic(5, noise_sd, seed=0)
+
 
 class TestMakeKfold:
     def test_leave_one_out_degenerate(self):
@@ -190,13 +195,3 @@ class TestMakeKfold:
         for p in plans:
             assert len(np.intersect1d(p.train_indices, p.test_indices)) == 0
             assert len(p.train_indices) + len(p.test_indices) == n
-
-
-class TestSplitPlan:
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            SplitPlan(np.array([0, 1]), np.array([1, 2]))
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SplitPlan(np.array([0, 0]), np.array([1]))

@@ -13,6 +13,7 @@ from gkrr.evaluate import (
     AXIS_LAMBDA,
     AXIS_N,
     _derived_seed,
+    _mean_sd,
     _Replicate,
     _run_replicate,
     _worker_count,
@@ -121,6 +122,12 @@ class TestRunJackknife:
         with pytest.raises(ValueError, match="threads"):
             run_jackknife(generate_synthetic(6, 0.1, seed=3), 1e-3,
                           methods=("jacobian",), threads=threads)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
+    def test_invalid_lambda_raises(self, lam):
+        # raised before any replicate runs, not turned into n exclusions
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            run_jackknife(generate_synthetic(6, 0.1, seed=3), lam, methods=("jacobian",))
 
     def test_threads_identical(self):
         data = generate_synthetic(8, 0.1, seed=3)
@@ -288,6 +295,23 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="repeats"):
             run_sweep(AXIS_N, [10], fixed_lambda=0.0, repeats=1)
 
+    @pytest.mark.parametrize("axis, values, kw", [
+        (AXIS_N, [10, 12], dict(fixed_lambda=-1.0)),
+        (AXIS_N, [10], dict(fixed_lambda=math.inf)),
+        (AXIS_LAMBDA, [1e-3, math.nan], dict(fixed_n=10)),
+        (AXIS_LAMBDA, [-0.5, 1e-3], dict(fixed_n=10, fixed_lambda=1e-3)),
+    ])
+    def test_invalid_lambda_raises(self, axis, values, kw):
+        # raised before any replicate runs, not turned into all-nan rows
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            run_sweep(axis, values, repeats=2, test_size=20, methods=("jacobian",), **kw)
+
+    def test_lambda_axis_ignores_fixed_lambda(self):
+        kw = dict(fixed_n=10, repeats=2, test_size=20, methods=("jacobian",), seed=3)
+        a = run_sweep(AXIS_LAMBDA, [1e-3], **kw)
+        b = run_sweep(AXIS_LAMBDA, [1e-3], fixed_lambda=-1.0, **kw)
+        assert sweep_to_csv(a) == sweep_to_csv(b)
+
     def test_csv_round_trip(self, tmp_path):
         report = run_sweep(AXIS_N, [8, 12], fixed_lambda=1e-3, repeats=3,
                            test_size=25, methods=("jacobian", "silverman"), seed=13)
@@ -326,6 +350,18 @@ class TestReplicateRunner:
     def test_worker_count_rejects_below_one(self):
         with pytest.raises(ValueError, match="threads"):
             _worker_count(0, 10, 2)
+
+
+def test_mean_sd_over_replicates():
+    # n-1 sd over the replicates (axis 0); sd 0 for one replicate, nan for none
+    mean, sd = _mean_sd([1.0, 2.0, 4.0])
+    assert mean == 7.0 / 3.0 and sd == pytest.approx(math.sqrt(7.0 / 3.0), rel=1e-15)
+    mean, sd = _mean_sd([[1.0, 5.0]], (2,))
+    np.testing.assert_array_equal(mean, [1.0, 5.0])
+    np.testing.assert_array_equal(sd, [0.0, 0.0])
+    mean, sd = _mean_sd([], (3,))
+    assert mean.shape == sd.shape == (3,) and np.isnan(mean).all() and np.isnan(sd).all()
+    assert all(math.isnan(v) for v in _mean_sd([]))
 
 
 def test_derived_seed_stable():
