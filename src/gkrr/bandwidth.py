@@ -212,6 +212,20 @@ def default_cv_grid(l_max: float, size: int = DEFAULT_GRID_SIZE, lo: float = DEF
     return np.sort(np.geomspace(lo, l_max, size))
 
 
+def check_cv_settings(folds: int, grid_size: int, grid_min: float | None = None) -> None:
+    """ValueError, with the selectors' text, unless CV can run with ``folds``
+    and ``grid_size`` on any data and ``grid_min`` (unless None) can start
+    select_cv's default grid."""
+    if grid_size < 1:
+        raise ValueError(f"grid size must be >= 1, got {grid_size}")
+    if grid_min is not None:
+        if not grid_min > 0:
+            raise ValueError("grid bounds must be positive")
+        check_sigma(grid_min)  # not finite, or 2 grid_min^2 underflows
+    if folds < 2:
+        raise ValueError(f"need at least 2 folds, got {folds}")
+
+
 def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
                     grid: np.ndarray, seed: int) -> np.ndarray:
     """Mean validation MSE per grid sigma over a fixed fold partition.
@@ -247,9 +261,8 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
 
 def _run_cv(data: Dataset, d2: np.ndarray, lam: float, folds: int, grid: np.ndarray,
             seed: int, method: str) -> BandwidthResult:
-    """CV over ``grid``; ``d2`` is pairwise_sq_dists(X, X), negated in place."""
-    if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
+    """CV over ``grid``; ``d2`` is pairwise_sq_dists(X, X), negated in place.
+    The callers check ``folds`` with check_cv_settings."""
     if data.n < folds:
         raise ValueError(f"n={data.n} smaller than fold count {folds}")
     grid = np.sort(np.asarray(grid, dtype=float).reshape(-1))
@@ -285,6 +298,7 @@ def select_cv(
     and the data diameter. Deterministic given (data, seed). The distances
     are computed once, for both the diameter and the CV kernels.
     """
+    check_cv_settings(folds, grid_size)
     d2 = pairwise_sq_dists(data.features, data.features)
     if grid is None:
         l_max = math.sqrt(float(d2.max()))
@@ -307,9 +321,8 @@ def select_seeded_cv(
     sigma_0 comes from Jacobian selection on the full training matrix. The
     degenerate grid_size=1 uses {sigma_0}, the geometric midpoint.
     """
+    check_cv_settings(folds, grid_size)
     sigma0 = select_jacobian(data.features, lam).sigma
-    if grid_size < 1:
-        raise ValueError(f"grid size must be >= 1, got {grid_size}")
     if grid_size == 1:
         grid = np.array([sigma0])
     else:

@@ -63,11 +63,21 @@ def _sigma_flag(args) -> float | None:
     return args.sigma
 
 
+def _check_finite(flag: str, value: float | None) -> None:
+    """A flag error for a given but non-finite float flag (--grid-min, --grid-max)."""
+    if value is not None and not math.isfinite(value):
+        raise _InputError(f"{flag} must be finite, got {value}")
+
+
+def _check_noise_sd(args) -> None:
+    if not 0.0 <= args.noise_sd < math.inf:
+        raise _InputError("--noise-sd must be finite and >= 0")
+
+
 def _select(args, data: Dataset) -> bandwidth.BandwidthResult:
     """Run the --method selector; --grid-max gives CV an explicit log grid."""
-    for flag, value in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
-        if value is not None and not math.isfinite(value):
-            raise _InputError(f"{flag} must be finite, got {value}")
+    _check_finite("--grid-min", args.grid_min)
+    _check_finite("--grid-max", args.grid_max)
     grid = None
     if args.grid_max is not None:
         if args.grid_max <= args.grid_min:
@@ -123,8 +133,7 @@ def cmd_predict(args) -> int:
 def cmd_synth(args) -> int:
     if args.n < 1:
         raise _InputError("--n must be >= 1")
-    if not 0.0 <= args.noise_sd < math.inf:
-        raise _InputError("--noise-sd must be finite and >= 0")
+    _check_noise_sd(args)
     data = generate_synthetic(args.n, args.noise_sd, args.seed)
     write_csv(data, args.output)
     print(f"rows={data.n}")
@@ -134,8 +143,8 @@ def cmd_synth(args) -> int:
 def cmd_sweep(args) -> int:
     if args.threads < 1:
         raise _InputError("--threads must be >= 1")
-    if not 0.0 <= args.noise_sd < math.inf:
-        raise _InputError("--noise-sd must be finite and >= 0")
+    _check_noise_sd(args)
+    _check_finite("--grid-min", args.grid_min)
     values = _parse_values(args.values)
     if not values:
         raise _InputError("--values is empty")
@@ -170,6 +179,7 @@ def cmd_jackknife(args) -> int:
         raise _InputError("--eval-points must be >= 1")
     if args.threads < 1:
         raise _InputError("--threads must be >= 1")
+    _check_finite("--grid-min", args.grid_min)
     eval_grid = None  # run_jackknife's default: the training features
     if args.holdout > 0.0:
         # reserve a seeded random reference slice; jackknife the remainder
@@ -212,6 +222,7 @@ def _verify_points(args) -> np.ndarray:
 def cmd_verify(args) -> int:
     claim = _CLAIM_FLAGS[args.claim]
     sigma = _sigma_flag(args)
+    _check_noise_sd(args)
     if claim == verify.CLAIM_PROP1:
         params = bandwidth.JacobianParams(n=args.n, p=args.p, l_max=args.lmax, lam=args.lam)
         report = verify.check_prop1_regimes(params)
@@ -361,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.5, help="spectrum cutoff for bermanis")
     p.add_argument("--trials", type=int, default=100, help="random trials for prop2")
     p.add_argument("--noise-sd", type=float, default=0.1,
-                   help="noise level for prop2 synthetic data")
+                   help="noise level for prop2 synthetic data (p = 1 only)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -19,9 +19,10 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import krr
-from .bandwidth import DEFAULT_FOLDS, DEFAULT_GRID_MIN, DEFAULT_GRID_SIZE, METHODS, select_bandwidth
+from .bandwidth import DEFAULT_FOLDS, DEFAULT_GRID_MIN, DEFAULT_GRID_SIZE, METHOD_CV, METHOD_SEEDED_CV
+from .bandwidth import METHODS, check_cv_settings, select_bandwidth
 from .data import Dataset, as_features, format_table, generate_synthetic, read_table
-from .linalg import FactorizationError, check_lambda
+from .linalg import FactorizationError, check_lambda, load_lapack
 
 AXIS_N = "n"
 AXIS_LAMBDA = "lambda"
@@ -111,6 +112,13 @@ def _run_replicate(task: _Replicate) -> dict:
     return out
 
 
+def _check_cv_flags(methods: tuple[str, ...], folds: int, grid_size: int, grid_min: float) -> None:
+    """Raise before any replicate runs what every CV select among ``methods``
+    would raise, so a bad CV setting is an error rather than excluded rows."""
+    if METHOD_CV in methods or METHOD_SEEDED_CV in methods:
+        check_cv_settings(folds, grid_size, grid_min if METHOD_CV in methods else None)
+
+
 def _worker_count(threads: int, tasks: int, cpus: int) -> int:
     """Pool size: ``threads``, but never more than the tasks or usable CPUs."""
     if threads < 1:
@@ -132,6 +140,9 @@ def _map_replicates(tasks: list[_Replicate], threads: int) -> list[dict]:
     # a second; gkrr starts no threads of its own, and tasks pickle, so spawn
     # works where fork is not offered
     fork = "fork" in multiprocessing.get_all_start_methods()
+    # a forked worker inherits the parent's modules, so scipy is imported
+    # once here rather than in every worker of every call
+    load_lapack()
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork" if fork else None))
     try:
         return list(pool.map(_run_replicate, tasks))
@@ -188,6 +199,7 @@ def run_jackknife(
     if data.n < 3:
         raise ValueError(f"jackknife harness needs n >= 3, got {data.n}")
     methods = tuple(methods)
+    _check_cv_flags(methods, folds, grid_size, grid_min)
     if eval_grid is None:
         eval_grid = data.features
     eval_grid = as_features(eval_grid)
@@ -326,7 +338,10 @@ def run_sweep(
         raise ValueError("an n-axis sweep needs fixed_lambda")
     if axis == AXIS_LAMBDA and fixed_n is None:
         raise ValueError("a lambda-axis sweep needs fixed_n")
+    if axis == AXIS_N and not all(v.is_integer() for v in axis_values):
+        raise ValueError(f"n-axis values must be whole numbers, got {axis_values}")
     methods = tuple(methods)
+    _check_cv_flags(methods, folds, grid_size, grid_min)
 
     fractional = isinstance(test_size, float) and test_size < 1.0
     if fractional and data is None:

@@ -3,14 +3,29 @@
 Sized for dense problems (n up to a few thousand for solves, n <= 500 for
 eigenvalue extraction, which exists for bound verification rather than
 production paths). Cholesky factors are returned read-only.
+
+LAPACK's ``dpotrf`` (for its failing pivot) and ``dpotrs`` come from
+``scipy.linalg.lapack``, imported on the first factorization or solve rather
+than with this module: the import takes about a quarter of a second, three
+times numpy's, and ``synth``, closed-form selection and ``predict`` never
+factor.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 _EIG_MAX_N = 500
+_lapack = None  # scipy.linalg.lapack once load_lapack() has run
+
+
+def load_lapack():
+    """scipy.linalg.lapack, imported on the first call and kept in a global:
+    an import statement costs 0.5 us a call, and a CV select makes 2,000."""
+    global _lapack
+    if _lapack is None:
+        from scipy.linalg import lapack as _lapack
+    return _lapack
 
 
 class FactorizationError(RuntimeError):
@@ -59,7 +74,7 @@ def check_lambda(lam: float) -> float:
 def _factor(A: np.ndarray, lam: float) -> np.ndarray:
     """factor_spd without checks, for A = K + lam*I symmetric by construction.
     Reads the lower triangle; factors an F-ordered float64 A in place."""
-    c, info = lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
+    c, info = load_lapack().dpotrf(A, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise FactorizationError(
             f"Cholesky failed at pivot {info}: K + {lam}*I is not positive "
@@ -77,7 +92,7 @@ def solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != c.shape[0]:
         raise ValueError(f"b has length {b.shape[0]}, expected {c.shape[0]}")
-    x, info = lapack.dpotrs(c, b, lower=1)
+    x, info = load_lapack().dpotrs(c, b, lower=1)
     if info != 0:
         raise ValueError(f"invalid argument {-info} passed to dpotrs")
     return x

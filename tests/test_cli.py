@@ -246,7 +246,8 @@ class TestSynth:
     @pytest.mark.parametrize("argv", [
         ["synth", "--n", "10"],
         ["sweep", "--axis", "n", "--values", "10", "--repeats", "2", "--test-size", "20"],
-    ], ids=["synth", "sweep"])
+        ["verify", "--claim", "prop2", "--n", "8", "--trials", "2"],
+    ], ids=["synth", "sweep", "verify"])
     def test_noise_sd_out_of_range_exit_2(self, capsys, tmp_path, argv, noise_sd):
         out_path = tmp_path / "o.csv"
         code, out, err = run_cli(capsys, *argv, "--noise-sd", noise_sd, "--output", str(out_path))
@@ -435,6 +436,32 @@ class TestGridMaxOnlyWhereUsed:
         code, _, err = run_cli(capsys, *argv, "--method", "cv", "--output", str(out_path))
         assert code == 2
         assert "--method" in err
+        assert not out_path.exists()
+
+
+class TestHarnessCvFlags:
+    """sweep and jackknife reject a bad CV flag with select's exit code and
+    text, before any replicate runs, instead of reporting excluded rows."""
+
+    HARNESS = {
+        "sweep": ["sweep", "--axis", "n", "--values", "10", "--repeats", "2",
+                  "--test-size", "20", "--methods", "jacobian,cv"],
+        "jackknife": ["jackknife", "--input", "{data}", "--methods", "jacobian,cv"],
+    }
+
+    @pytest.mark.parametrize("cmd", ["sweep", "jackknife"])
+    @pytest.mark.parametrize("flags", [
+        ["--folds", "1"], ["--grid-size", "0"], ["--grid-min", "0"], ["--grid-min", "1e-300"],
+        ["--grid-min", "nan"], ["--grid-min", "inf"],
+    ], ids=lambda f: "=".join(f))
+    def test_same_exit_and_text_as_select(self, capsys, tmp_path, ten_point_file, cmd, flags):
+        select = run_cli(capsys, "select", "--input", str(ten_point_file), "--method", "cv",
+                         "--lambda", "0.1", *flags)
+        out_path = tmp_path / "o.csv"
+        argv = [a.replace("{data}", str(ten_point_file)) for a in self.HARNESS[cmd]]
+        got = run_cli(capsys, *argv, *flags, "--output", str(out_path))
+        assert select[0] in (2, 3)
+        assert got == (select[0], "", select[2])
         assert not out_path.exists()
 
 

@@ -52,6 +52,17 @@ class TestRSquared:
             r_squared([1.0], [1.0])
 
 
+CV_FLAG_ERRORS = [
+    (dict(folds=1), "need at least 2 folds, got 1"),
+    (dict(grid_size=0), "grid size must be >= 1, got 0"),
+    (dict(grid_min=0.0), "grid bounds must be positive"),
+    (dict(grid_min=-1.0), "grid bounds must be positive"),
+    (dict(grid_min=math.nan), "grid bounds must be positive"),
+    (dict(grid_min=math.inf), "sigma must be finite"),
+    (dict(grid_min=1e-300), "underflows"),
+]
+
+
 class TestRunJackknife:
     def test_minimal_n4(self):
         data = generate_synthetic(4, 0.1, seed=0)
@@ -128,6 +139,12 @@ class TestRunJackknife:
         # raised before any replicate runs, not turned into n exclusions
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             run_jackknife(generate_synthetic(6, 0.1, seed=3), lam, methods=("jacobian",))
+
+    @pytest.mark.parametrize("kw, match", CV_FLAG_ERRORS)
+    def test_invalid_cv_settings_raise(self, kw, match):
+        # raised before any replicate runs, not turned into n exclusions
+        with pytest.raises(ValueError, match=match):
+            run_jackknife(generate_synthetic(6, 0.1, seed=3), 1e-3, methods=("jacobian", "cv"), **kw)
 
     def test_threads_identical(self):
         data = generate_synthetic(8, 0.1, seed=3)
@@ -305,6 +322,30 @@ class TestRunSweep:
         # raised before any replicate runs, not turned into all-nan rows
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             run_sweep(axis, values, repeats=2, test_size=20, methods=("jacobian",), **kw)
+
+    @pytest.mark.parametrize("kw, match", CV_FLAG_ERRORS)
+    def test_invalid_cv_settings_raise(self, kw, match):
+        # raised before any replicate runs, not turned into all-nan rows
+        with pytest.raises(ValueError, match=match):
+            run_sweep(AXIS_N, [10], fixed_lambda=1e-3, repeats=2, test_size=20,
+                      methods=("jacobian", "cv"), **kw)
+
+    @pytest.mark.parametrize("kw", [dict(folds=1), dict(grid_size=0), dict(grid_min=math.nan)])
+    def test_cv_settings_unchecked_without_cv(self, kw):
+        report = run_sweep(AXIS_N, [10], fixed_lambda=1e-3, repeats=2, test_size=20,
+                           methods=("jacobian",), **kw)
+        assert report.points[0].stats["jacobian"].excluded == 0
+
+    def test_seeded_cv_ignores_grid_min(self):
+        report = run_sweep(AXIS_N, [10], fixed_lambda=1e-3, repeats=2, test_size=20,
+                           methods=("seeded-cv",), folds=2, grid_size=4, grid_min=0.0)
+        assert report.points[0].stats["seeded-cv"].excluded == 0
+
+    @pytest.mark.parametrize("value", [10.5, math.inf, math.nan])
+    def test_non_whole_n_rejected(self, value):
+        with pytest.raises(ValueError, match="whole numbers"):
+            run_sweep(AXIS_N, [12, value], fixed_lambda=1e-3, repeats=2, test_size=20,
+                      methods=("jacobian",))
 
     def test_lambda_axis_ignores_fixed_lambda(self):
         kw = dict(fixed_n=10, repeats=2, test_size=20, methods=("jacobian",), seed=3)

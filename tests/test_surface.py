@@ -6,12 +6,22 @@ them would break the benchmark's traced mode without failing any other test.
 Every file gkrr writes or reads goes through ``gkrr.data``, so the table
 format is decided in one module. Feature matrices are checked by
 ``data.as_features`` alone, and log-spaced bandwidth grids are built in
-``bandwidth`` alone.
+``bandwidth`` alone. scipy and the process pool load only when used: on the
+first factorization (before a pool forks, so workers inherit it) and on the
+first run on more than one worker.
 """
 
 import importlib
 import importlib.util
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 import gkrr
 
@@ -69,3 +79,70 @@ def test_only_bandwidth_builds_log_grids():
         if path.name != "bandwidth.py" and "geomspace" in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
+
+
+def _fresh(code: str, cwd: Path) -> object:
+    """The JSON that ``code`` prints when run in a new interpreter."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy_or_pool(tmp_path):
+    loaded = _fresh("""
+        import json, sys
+        import gkrr, gkrr.cli
+        lazy = ("scipy", "multiprocessing", "concurrent.futures.process")
+        print(json.dumps([m for m in lazy if m in sys.modules]))
+    """, tmp_path)
+    assert loaded == []
+
+
+def test_commands_that_never_factor_load_no_scipy(tmp_path):
+    data = gkrr.generate_synthetic(20, 0.1, seed=1)
+    gkrr.save_model(gkrr.fit(data, 0.5, 1e-3), tmp_path / "model.csv")
+    (tmp_path / "queries.csv").write_text("0.5\n-1.25\n")
+    result = _fresh("""
+        import json, sys
+        from gkrr.cli import main
+        codes = [main(argv.split()) for argv in (
+            "synth --n 30 --output d.csv",
+            "select --input d.csv --method jacobian",
+            "select --input d.csv --method silverman",
+            "predict --model model.csv --input queries.csv --output p.csv",
+        )]
+        print(json.dumps([codes, "scipy" in sys.modules]))
+    """, tmp_path)
+    assert result == [[0, 0, 0, 0], False]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="workers inherit the parent's modules only when forked")
+def test_pool_parent_imports_lapack_before_forking(tmp_path):
+    result = _fresh("""
+        import json, sys
+        from gkrr import evaluate
+        before = "scipy" in sys.modules
+        evaluate.run_sweep("n", [10, 12], fixed_lambda=1e-3, repeats=2, test_size=20,
+                           methods=("jacobian",), threads=2)
+        print(json.dumps([before, "scipy.linalg.lapack" in sys.modules]))
+    """, tmp_path)
+    assert result == [False, True]
+
+
+def test_first_factorization_reports_pivot(tmp_path):
+    # rows 2 and 3 coincide, so K is singular at lambda = 0 from pivot 3
+    result = _fresh("""
+        import json, sys
+        import numpy as np
+        from gkrr import Dataset, FactorizationError, fit
+        before = "scipy" in sys.modules
+        data = Dataset(np.array([[0.0], [1.0], [1.0], [2.0]]), np.array([0.0, 1.0, 2.0, 0.5]))
+        try:
+            fit(data, 1.0, 0.0)
+        except FactorizationError as exc:
+            print(json.dumps([before, exc.pivot]))
+    """, tmp_path)
+    assert result == [False, 3]
