@@ -44,7 +44,9 @@ METHODS = (METHOD_JACOBIAN, METHOD_SILVERMAN, METHOD_CV, METHOD_SEEDED_CV)
 DEFAULT_GRID_MIN = 0.01
 DEFAULT_GRID_SIZE = 100
 DEFAULT_FOLDS = 10
-_CV_STACK_FLOATS = 2**14  # per CV kernel stack (128 KB): one sigma per stack once m > 128
+# per CV kernel stack (128 KB), factored slice by slice and scored as one:
+# one sigma per stack once m > 128
+_CV_STACK_FLOATS = 2**14
 
 
 class Regime(enum.Enum):
@@ -212,10 +214,11 @@ def default_cv_grid(l_max: float, size: int = DEFAULT_GRID_SIZE, lo: float = DEF
     return np.sort(np.geomspace(lo, l_max, size))
 
 
-def check_cv_settings(folds: int, grid_size: int, grid_min: float | None = None) -> None:
+def check_cv_settings(folds: int, grid_size: int, grid_min: float | None = None,
+                      n: int | None = None) -> None:
     """ValueError, with the selectors' text, unless CV can run with ``folds``
-    and ``grid_size`` on any data and ``grid_min`` (unless None) can start
-    select_cv's default grid."""
+    and ``grid_size`` on ``n`` rows (any data if None) and ``grid_min``
+    (unless None) can start select_cv's default grid."""
     if grid_size < 1:
         raise ValueError(f"grid size must be >= 1, got {grid_size}")
     if grid_min is not None:
@@ -224,6 +227,8 @@ def check_cv_settings(folds: int, grid_size: int, grid_min: float | None = None)
         check_sigma(grid_min)  # not finite, or 2 grid_min^2 underflows
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
+    if n is not None and n < folds:
+        raise ValueError(f"n={n} smaller than fold count {folds}")
 
 
 def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
@@ -232,9 +237,11 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
 
     Folds are built once and reused for every sigma, so the grid comparison
     is paired. ``neg_d2`` is the caller's -pairwise_sq_dists(X, X); each fold
-    stacks the kernels of ``_CV_STACK_FLOATS // m^2`` sigmas (at least one)
-    and factors them slice by slice, unchecked: symmetric by construction. A
-    failed factor makes +inf.
+    stacks the kernels of ``_CV_STACK_FLOATS // m^2`` sigmas (at least one).
+    LAPACK factors and solves each slice not yet at +inf, unchecked:
+    symmetric by construction; a failed factor makes +inf. The validation
+    residuals and losses of a stack then take one stacked product and one
+    row-wise mean.
     """
     y = data.response
     totals = np.zeros(len(grid))
@@ -247,24 +254,25 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
             K = d_tr / scale
             np.exp(K, out=K)
             K[:, diag, diag] = 1.0 + lam
-            for g, K_g, K_te_g in zip(range(start, len(grid)), K, np.exp(d_te / scale)):
-                if totals[g] == math.inf:
-                    continue
-                try:  # K_g.T is F-ordered, so LAPACK factors it in place
-                    alpha = solve(_factor(K_g.T, lam), y_tr)
+            stack = slice(start, start + len(K))
+            ok = totals[stack] != math.inf
+            alphas = np.zeros((len(K), len(tr), 1))
+            for i in np.flatnonzero(ok):
+                try:  # K[i].T is F-ordered, so LAPACK factors it in place
+                    alphas[i, :, 0] = solve(_factor(K[i].T, lam), y_tr)
                 except FactorizationError:
-                    totals[g] = math.inf
-                else:
-                    totals[g] += float(np.mean((y_te - K_te_g @ alpha) ** 2))
+                    ok[i] = False
+            r = np.exp(d_te / scale) @ alphas
+            np.subtract(y_te[:, None], r, out=r)
+            r *= r
+            totals[stack] = np.where(ok, totals[stack] + np.mean(r, axis=1)[:, 0], math.inf)
     return totals / folds
 
 
 def _run_cv(data: Dataset, d2: np.ndarray, lam: float, folds: int, grid: np.ndarray,
             seed: int, method: str) -> BandwidthResult:
     """CV over ``grid``; ``d2`` is pairwise_sq_dists(X, X), negated in place.
-    The callers check ``folds`` with check_cv_settings."""
-    if data.n < folds:
-        raise ValueError(f"n={data.n} smaller than fold count {folds}")
+    The callers check ``folds`` and ``data.n`` with check_cv_settings."""
     grid = np.sort(np.asarray(grid, dtype=float).reshape(-1))
     if grid.size == 0:
         raise ValueError("empty bandwidth grid")
@@ -298,7 +306,7 @@ def select_cv(
     and the data diameter. Deterministic given (data, seed). The distances
     are computed once, for both the diameter and the CV kernels.
     """
-    check_cv_settings(folds, grid_size)
+    check_cv_settings(folds, grid_size, n=data.n)
     d2 = pairwise_sq_dists(data.features, data.features)
     if grid is None:
         l_max = math.sqrt(float(d2.max()))
@@ -321,7 +329,7 @@ def select_seeded_cv(
     sigma_0 comes from Jacobian selection on the full training matrix. The
     degenerate grid_size=1 uses {sigma_0}, the geometric midpoint.
     """
-    check_cv_settings(folds, grid_size)
+    check_cv_settings(folds, grid_size, n=data.n)
     sigma0 = select_jacobian(data.features, lam).sigma
     if grid_size == 1:
         grid = np.array([sigma0])

@@ -112,11 +112,13 @@ def _run_replicate(task: _Replicate) -> dict:
     return out
 
 
-def _check_cv_flags(methods: tuple[str, ...], folds: int, grid_size: int, grid_min: float) -> None:
+def _check_cv_flags(methods: tuple[str, ...], folds: int, grid_size: int, grid_min: float,
+                    n_train: int) -> None:
     """Raise before any replicate runs what every CV select among ``methods``
-    would raise, so a bad CV setting is an error rather than excluded rows."""
+    would raise on training sets of ``n_train`` rows or more, so a bad CV
+    setting is an error rather than excluded rows."""
     if METHOD_CV in methods or METHOD_SEEDED_CV in methods:
-        check_cv_settings(folds, grid_size, grid_min if METHOD_CV in methods else None)
+        check_cv_settings(folds, grid_size, grid_min if METHOD_CV in methods else None, n_train)
 
 
 def _worker_count(threads: int, tasks: int, cpus: int) -> int:
@@ -199,7 +201,7 @@ def run_jackknife(
     if data.n < 3:
         raise ValueError(f"jackknife harness needs n >= 3, got {data.n}")
     methods = tuple(methods)
-    _check_cv_flags(methods, folds, grid_size, grid_min)
+    _check_cv_flags(methods, folds, grid_size, grid_min, data.n - 1)
     if eval_grid is None:
         eval_grid = data.features
     eval_grid = as_features(eval_grid)
@@ -341,7 +343,8 @@ def run_sweep(
     if axis == AXIS_N and not all(v.is_integer() for v in axis_values):
         raise ValueError(f"n-axis values must be whole numbers, got {axis_values}")
     methods = tuple(methods)
-    _check_cv_flags(methods, folds, grid_size, grid_min)
+    _check_cv_flags(methods, folds, grid_size, grid_min,
+                    int(min(axis_values)) if axis == AXIS_N else int(fixed_n))
 
     fractional = isinstance(test_size, float) and test_size < 1.0
     if fractional and data is None:

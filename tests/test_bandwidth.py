@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import press_loo_loss
 
 from gkrr.bandwidth import (
     _CV_STACK_FLOATS,
@@ -414,6 +415,80 @@ class TestCvLossesExact:
             # working precision, so the last-bit distance change grows to
             # ~1e-3 relative there; the +inf set and the argmin still agree
         assert partial > 0 if lam == 0.0 else partial == 0
+
+    @pytest.mark.parametrize("n, p, lam, seed", [(12, 1, 1e-3, 0), (20, 2, 1e-2, 1),
+                                                 (30, 1, 0.1, 2), (40, 3, 1.0, 3)])
+    def test_leave_one_out_matches_press(self, n, p, lam, seed):
+        # at folds = n every fold holds out one row, so the CV loss is the
+        # closed-form PRESS loss, computed without folds or a Cholesky
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-5.0, 5.0, (n, p))
+        y = np.sin(2 * np.pi * X[:, 0]) + rng.normal(0.0, 0.1, n)
+        grid = default_cv_grid(max_pairwise_distance(X), 20)
+        new = _cv_mean_losses(Dataset(X, y), -pairwise_sq_dists(X, X), lam, n, grid, seed)
+        press, cond = np.array([press_loo_loss(X, y, s, lam) for s in grid]).T
+        sound = cond < 1e8
+        assert sound.sum() >= 10
+        np.testing.assert_allclose(new[sound], press[sound], rtol=2e-12, atol=0)
+        assert np.argmin(new) == np.argmin(np.where(sound, press, np.inf))
+
+    # rows 0 and 1 coincide in a kernel of sigma 0.2 or more, so at lam=0 a
+    # fold that trains on both fails there; make_kfold(12, 3, seed=4) holds
+    # out row 0 in fold 0 and trains on both in folds 1 and 2
+    NEAR_PAIR = Dataset(np.r_[0.0, 1e-9, np.arange(1.0, 11.0)].reshape(-1, 1),
+                        np.sin(np.arange(12.0)))
+    NEAR_PAIR_GRID = np.array([0.01, 0.05, 0.2, 0.4, 0.8])
+
+    def _exact(self, data, lam, folds, grid, seed):
+        X = data.features
+        new = _cv_mean_losses(data, -pairwise_sq_dists(X, X), lam, folds, grid, seed)
+        np.testing.assert_array_equal(new, reference_cv_losses(data, lam, folds, grid, seed))
+        return new
+
+    def test_failed_slice_between_finite_ones(self):
+        # an unsorted grid puts a sigma that fails at lam=0 (a kernel of
+        # ones) between two that factor, all in one stack
+        data = generate_synthetic(12, 0.1, seed=0)
+        new = self._exact(data, 0.0, 3, np.array([0.3, 0.5, 1e4, 0.7, 0.9]), 0)
+        assert np.isinf(new).tolist() == [False, False, True, False, False]
+
+    def test_sigma_failing_in_a_later_fold(self):
+        plans = make_kfold(12, 3, 4)
+        assert [{0, 1} <= set(p.train_indices) for p in plans] == [False, True, True]
+        new = self._exact(self.NEAR_PAIR, 0.0, 3, self.NEAR_PAIR_GRID, 4)
+        assert np.isinf(new).tolist() == [False, False, True, True, True]
+
+    def test_one_factor_and_solve_per_live_slice(self, monkeypatch):
+        # dpotrf decides every +inf: each (sigma, fold) not yet failed is
+        # factored once, and each factor that succeeds is solved once
+        import gkrr.bandwidth as bw
+
+        calls = []
+        real_factor, real_solve = bw._factor, bw.solve
+
+        def counting_factor(A, lam):
+            calls.append("factor")
+            c = real_factor(A, lam)
+            calls.append("factored")
+            return c
+
+        monkeypatch.setattr(bw, "_factor", counting_factor)
+        monkeypatch.setattr(bw, "solve", lambda c, b: calls.append("solve") or real_solve(c, b))
+        data, grid = self.NEAR_PAIR, self.NEAR_PAIR_GRID
+        _cv_mean_losses(data, -pairwise_sq_dists(data.features, data.features), 0.0, 3, grid, 4)
+        live = failed = 0  # per sigma, the folds up to and including its first failure
+        for sigma in grid:
+            for plan in make_kfold(12, 3, 4):
+                live += 1
+                try:
+                    factor_spd(kernel_matrix(data.features[plan.train_indices], None, sigma))
+                except FactorizationError:
+                    failed += 1
+                    break
+        assert (live, failed) == (12, 3)  # sigmas 0.2-0.8 fail in fold 1 and skip fold 2
+        assert calls.count("factor") == live
+        assert calls.count("factored") == calls.count("solve") == live - failed
+        assert all(calls[i + 1] == "solve" for i, c in enumerate(calls) if c == "factored")
 
 
 class TestSelectSeededCv:

@@ -464,6 +464,25 @@ class TestHarnessCvFlags:
         assert got == (select[0], "", select[2])
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("cmd", ["sweep", "jackknife"])
+    def test_training_size_below_folds(self, capsys, tmp_path, cmd):
+        # a jackknife replicate trains on n - 1 rows, so it takes a file one
+        # row longer than the one select rejects
+        files = {}
+        for n in (5, 6):
+            files[n] = tmp_path / f"rows{n}.csv"
+            files[n].write_text("".join(f"{i},{math.sin(i)}\n" for i in range(n)))
+        select = run_cli(capsys, "select", "--input", str(files[5]), "--method", "cv",
+                         "--folds", "10")
+        assert select == (3, "", "gkrr: error: n=5 smaller than fold count 10\n")
+        out_path = tmp_path / "o.csv"
+        argv = {"sweep": ["sweep", "--axis", "n", "--values", "12,5", "--repeats", "2",
+                          "--test-size", "20", "--methods", "jacobian,cv"],
+                "jackknife": ["jackknife", "--input", str(files[6]), "--methods", "cv"]}[cmd]
+        got = run_cli(capsys, *argv, "--folds", "10", "--output", str(out_path))
+        assert got == select
+        assert not out_path.exists()
+
 
 class TestEveryFlagRead:
     """Every flag a subcommand registers is read on at least one of its
@@ -651,7 +670,7 @@ class TestPlot:
         sweep_path = tmp_path / "sweep.csv"
         run_cli(capsys, "sweep", "--axis", "n", "--values", "8,12", "--repeats", "3",
                 "--test-size", "25", "--methods", "jacobian,cv", "--seed", "3",
-                "--grid-size", "15", "--output", str(sweep_path))
+                "--grid-size", "15", "--folds", "4", "--output", str(sweep_path))
         a = tmp_path / "a.svg"
         b = tmp_path / "b.svg"
         code, _, _ = run_cli(capsys, "plot", "--input", str(sweep_path), "--output", str(a))

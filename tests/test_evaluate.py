@@ -146,6 +146,14 @@ class TestRunJackknife:
         with pytest.raises(ValueError, match=match):
             run_jackknife(generate_synthetic(6, 0.1, seed=3), 1e-3, methods=("jacobian", "cv"), **kw)
 
+    def test_training_size_below_folds_raises(self):
+        # each replicate trains on n - 1 = 5 rows
+        data = generate_synthetic(6, 0.1, seed=3)
+        with pytest.raises(ValueError, match="n=5 smaller than fold count 6"):
+            run_jackknife(data, 1e-3, methods=("jacobian", "seeded-cv"), folds=6)
+        report = run_jackknife(data, 1e-3, methods=("jacobian", "cv"), folds=5, grid_size=4)
+        assert report.excluded == {"jacobian": 0, "cv": 0}
+
     def test_threads_identical(self):
         data = generate_synthetic(8, 0.1, seed=3)
         a = run_jackknife(data, 1e-3, methods=("jacobian", "silverman"), threads=1)
@@ -287,10 +295,12 @@ class TestRunSweep:
         assert math.isfinite(s.mean_r2)
 
     def test_method_fully_excluded_reports_nan(self):
-        # 10-fold CV cannot run on 4 training rows: every replicate fails for
-        # that method while the others proceed
-        report = run_sweep(AXIS_N, [4], fixed_lambda=1e-3, repeats=3, test_size=20,
-                           methods=("jacobian", "cv"), folds=10, seed=15)
+        # at lambda=0 a CV grid that starts at half the diameter leaves every
+        # training fold's kernel singular: every replicate fails for that
+        # method while the others proceed
+        report = run_sweep(AXIS_N, [40], fixed_lambda=0.0, repeats=3, test_size=20,
+                           methods=("jacobian", "cv"), folds=10, grid_min=5.0, grid_size=5,
+                           seed=15)
         s = report.points[0].stats
         assert s["cv"].excluded == 3
         assert math.isnan(s["cv"].mean_r2)
@@ -330,7 +340,19 @@ class TestRunSweep:
             run_sweep(AXIS_N, [10], fixed_lambda=1e-3, repeats=2, test_size=20,
                       methods=("jacobian", "cv"), **kw)
 
-    @pytest.mark.parametrize("kw", [dict(folds=1), dict(grid_size=0), dict(grid_min=math.nan)])
+    @pytest.mark.parametrize("axis, values, kw", [
+        (AXIS_N, [12, 5], dict(fixed_lambda=1e-3)),
+        (AXIS_LAMBDA, [1e-3, 1.0], dict(fixed_n=5)),
+    ])
+    @pytest.mark.parametrize("method", ["cv", "seeded-cv"])
+    def test_training_size_below_folds_raises(self, axis, values, kw, method):
+        # the smallest training size decides, before any replicate runs
+        with pytest.raises(ValueError, match="n=5 smaller than fold count 10"):
+            run_sweep(axis, values, repeats=2, test_size=20, methods=("jacobian", method),
+                      folds=10, grid_size=5, **kw)
+
+    @pytest.mark.parametrize("kw", [dict(folds=1), dict(grid_size=0), dict(grid_min=math.nan),
+                                    dict(folds=20)])
     def test_cv_settings_unchecked_without_cv(self, kw):
         report = run_sweep(AXIS_N, [10], fixed_lambda=1e-3, repeats=2, test_size=20,
                            methods=("jacobian",), **kw)
