@@ -159,6 +159,15 @@ def jacobian_sigma(params: JacobianParams, branch: int = PRINCIPAL) -> float:
     return base * math.sqrt(1.0 - 2.0 * w)
 
 
+def check_rows(method: str, n: int) -> None:
+    """ValueError, with the selector's text, when ``method`` cannot select on
+    ``n`` rows; CV's least n is its fold count (check_cv_settings)."""
+    if method == METHOD_SILVERMAN and n < 2:
+        raise ValueError(f"Silverman's rule needs n >= 2, got {n}")
+    if method in (METHOD_JACOBIAN, METHOD_SEEDED_CV) and n < 3:
+        raise ValueError(f"Jacobian selection needs n >= 3, got {n}")
+
+
 def select_jacobian(X: np.ndarray, lam: float) -> BandwidthResult:
     """Jacobian-control selection on a feature matrix.
 
@@ -166,10 +175,12 @@ def select_jacobian(X: np.ndarray, lam: float) -> BandwidthResult:
     sigma_0 evaluated at the threshold with ``clamped`` set.
     """
     X = as_features(X)
-    n, p = X.shape
-    if n < 3:
-        raise ValueError(f"Jacobian selection needs n >= 3, got {n}")
-    l_max = max_pairwise_distance(X)
+    check_rows(METHOD_JACOBIAN, len(X))
+    return _jacobian_closed_form(*X.shape, max_pairwise_distance(X), lam)
+
+
+def _jacobian_closed_form(n: int, p: int, l_max: float, lam: float) -> BandwidthResult:
+    """select_jacobian's result for ``n`` rows in ``p`` dimensions of diameter ``l_max``."""
     if l_max <= 0.0:
         raise ValueError("all rows identical: l_max = 0")
     thr = lambda_threshold(n)
@@ -194,8 +205,7 @@ def select_silverman(X: np.ndarray) -> BandwidthResult:
     """
     X = as_features(X)
     n, p = X.shape
-    if n < 2:
-        raise ValueError(f"Silverman's rule needs n >= 2, got {n}")
+    check_rows(METHOD_SILVERMAN, n)
     sigma_hat = math.sqrt(float(np.mean(np.var(X, axis=0, ddof=1))))
     if sigma_hat <= 0.0:
         raise ValueError("zero-variance features: Silverman's rule is undefined")
@@ -326,16 +336,18 @@ def select_seeded_cv(
 ) -> BandwidthResult:
     """Cross-validation on a log grid spanning [sigma_0/5, 5*sigma_0].
 
-    sigma_0 comes from Jacobian selection on the full training matrix. The
-    degenerate grid_size=1 uses {sigma_0}, the geometric midpoint.
+    sigma_0 comes from Jacobian selection on the full training matrix, its
+    diameter from the distances CV uses. The degenerate grid_size=1 uses
+    {sigma_0}, the geometric midpoint.
     """
     check_cv_settings(folds, grid_size, n=data.n)
-    sigma0 = select_jacobian(data.features, lam).sigma
+    check_rows(METHOD_SEEDED_CV, data.n)
+    d2 = pairwise_sq_dists(data.features, data.features)
+    sigma0 = _jacobian_closed_form(data.n, data.p, math.sqrt(float(d2.max())), lam).sigma
     if grid_size == 1:
         grid = np.array([sigma0])
     else:
         grid = np.geomspace(sigma0 / 5.0, 5.0 * sigma0, grid_size)
-    d2 = pairwise_sq_dists(data.features, data.features)
     return _run_cv(data, d2, lam, folds, grid, seed, METHOD_SEEDED_CV)
 
 

@@ -1,5 +1,5 @@
-"""Command-line interface: selection, fitting, prediction, experiments,
-verification, and plot emission.
+"""Command-line interface: selection, fitting, prediction, experiments and
+verification.
 
 Exit codes: 0 success, 2 input error (files, flags), 3 computation error
 (selector or factorization failures). Every subcommand is deterministic given
@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import bandwidth, evaluate, krr, plotting, verify
+from . import bandwidth, evaluate, krr, verify
 from .data import CsvFormatError, Dataset, _fmt, format_table, generate_synthetic, load_csv
 from .data import read_rows, write_csv, write_text
 from .kernel import check_sigma
@@ -258,16 +258,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_plot(args) -> int:
-    try:
-        report = evaluate.read_sweep_csv(args.input)
-    except (OSError, ValueError) as exc:
-        raise _InputError(str(exc)) from exc
-    plotting.write_sweep_svg(report, args.output)
-    print(f"plot={args.output}")
-    return 0
-
-
 def _add_common(p, output_required=False):
     p.add_argument("--lambda", dest="lam", type=float, default=1e-3,
                    help="ridge regularization strength")
@@ -375,11 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise level for prop2 synthetic data (p = 1 only)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("plot", help="render a sweep report as SVG", **kw)
-    p.add_argument("--input", required=True, help="sweep report CSV")
-    p.add_argument("--output", required=True, help="output file path")
-    p.set_defaults(func=cmd_plot)
 
     return parser
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import krr
 from .bandwidth import DEFAULT_FOLDS, DEFAULT_GRID_MIN, DEFAULT_GRID_SIZE, METHOD_CV, METHOD_SEEDED_CV
-from .bandwidth import METHODS, check_cv_settings, select_bandwidth
-from .data import Dataset, as_features, format_table, generate_synthetic, read_table
+from .bandwidth import METHODS, check_cv_settings, check_rows, select_bandwidth
+from .data import Dataset, as_features, format_table, generate_synthetic
 from .linalg import FactorizationError, check_lambda, load_lapack
 
 AXIS_N = "n"
@@ -112,13 +112,15 @@ def _run_replicate(task: _Replicate) -> dict:
     return out
 
 
-def _check_cv_flags(methods: tuple[str, ...], folds: int, grid_size: int, grid_min: float,
-                    n_train: int) -> None:
-    """Raise before any replicate runs what every CV select among ``methods``
+def _check_selects(methods: tuple[str, ...], folds: int, grid_size: int, grid_min: float,
+                   n_train: int) -> None:
+    """Raise before any replicate runs what every select among ``methods``
     would raise on training sets of ``n_train`` rows or more, so a bad CV
-    setting is an error rather than excluded rows."""
+    setting or too few rows is an error rather than excluded rows."""
     if METHOD_CV in methods or METHOD_SEEDED_CV in methods:
         check_cv_settings(folds, grid_size, grid_min if METHOD_CV in methods else None, n_train)
+    for m in methods:
+        check_rows(m, n_train)
 
 
 def _worker_count(threads: int, tasks: int, cpus: int) -> int:
@@ -201,7 +203,7 @@ def run_jackknife(
     if data.n < 3:
         raise ValueError(f"jackknife harness needs n >= 3, got {data.n}")
     methods = tuple(methods)
-    _check_cv_flags(methods, folds, grid_size, grid_min, data.n - 1)
+    _check_selects(methods, folds, grid_size, grid_min, data.n - 1)
     if eval_grid is None:
         eval_grid = data.features
     eval_grid = as_features(eval_grid)
@@ -343,8 +345,8 @@ def run_sweep(
     if axis == AXIS_N and not all(v.is_integer() for v in axis_values):
         raise ValueError(f"n-axis values must be whole numbers, got {axis_values}")
     methods = tuple(methods)
-    _check_cv_flags(methods, folds, grid_size, grid_min,
-                    int(min(axis_values)) if axis == AXIS_N else int(fixed_n))
+    _check_selects(methods, folds, grid_size, grid_min,
+                   int(min(axis_values)) if axis == AXIS_N else int(fixed_n))
 
     fractional = isinstance(test_size, float) and test_size < 1.0
     if fractional and data is None:
@@ -381,24 +383,3 @@ def sweep_to_csv(report: SweepReport) -> str:
     ]
     return format_table(rows, SWEEP_CSV_COLUMNS.split(","))
 
-
-def read_sweep_csv(path) -> SweepReport:
-    """Parse a file written by ``sweep_to_csv`` back into a SweepReport."""
-    rows = read_table(path)
-    if not rows or rows[0] != SWEEP_CSV_COLUMNS.split(","):
-        raise ValueError(f"{path}: not a sweep report (unexpected header)")
-    axis = None
-    repeats = 0
-    seed = 0
-    per_point: dict[float, dict] = {}  # insertion order is the axis order
-    for f in rows[1:]:
-        if len(f) != 13:
-            raise ValueError(f"{path}: malformed row {','.join(f)!r}")
-        axis = f[0]
-        v = float(f[1])
-        per_point.setdefault(v, {})[f[2]] = MethodStats(*map(float, f[3:10]), excluded=int(f[10]))
-        repeats = int(f[11])
-        seed = int(f[12])
-    methods = tuple(dict.fromkeys(f[2] for f in rows[1:]))
-    points = tuple(SweepPoint(axis_value=v, stats=stats) for v, stats in per_point.items())
-    return SweepReport(axis=axis, methods=methods, points=points, repeats=repeats, seed=seed)

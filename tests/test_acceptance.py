@@ -369,7 +369,6 @@ def test_c11_cli_determinism(tmp_path, capsys):
     capsys.readouterr()
     assert s1.read_bytes() == s8.read_bytes()
     run_twice(sweep_args + ["--threads", "8", "--output", "{o}"], ["o"])
-    run_twice(["plot", "--input", str(s1), "--output", "{o}"], ["o"])
 
     report("C11 CLI determinism", True,
            "all subcommands byte-identical on re-run, threads 1 == threads 8")

@@ -307,17 +307,21 @@ class TestSelectCv:
         assert a.sigma == b.sigma
         assert a.cv_curve == b.cv_curve
 
-    def test_distances_computed_once(self, monkeypatch):
+    @pytest.mark.parametrize("select", [select_cv, select_seeded_cv])
+    def test_distances_computed_once(self, monkeypatch, select):
         import gkrr.bandwidth as bw
 
+        data = generate_synthetic(30, 0.1, seed=6)
+        # the default grid ends at l_max; the seeded grid starts at sigma_0 / 5
+        end, edge = {select_cv: (-1, max_pairwise_distance(data.features)),
+                     select_seeded_cv: (0, select_jacobian(data.features, 1e-3).sigma / 5.0)}[select]
         calls = []
         real = bw.pairwise_sq_dists
         monkeypatch.setattr(bw, "pairwise_sq_dists", lambda A, B: calls.append(1) or real(A, B))
         monkeypatch.setattr(bw, "max_pairwise_distance", None)  # l_max from the same matrix
-        data = generate_synthetic(30, 0.1, seed=6)
-        res = select_cv(data, 1e-3, folds=5, grid_size=9)
+        res = select(data, 1e-3, folds=5, grid_size=9)
         assert len(calls) == 1
-        assert res.cv_curve[-1][0] == max_pairwise_distance(data.features)
+        assert res.cv_curve[end][0] == edge
 
     @pytest.mark.parametrize("tiny", [1e-300, 1e-170])
     def test_underflowing_grid_bandwidth_rejected(self, tiny):

@@ -483,6 +483,29 @@ class TestHarnessCvFlags:
         assert got == select
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("cmd,method,rows", [
+        ("sweep", "jacobian", 2), ("jackknife", "jacobian", 2), ("sweep", "seeded-cv", 2),
+        ("jackknife", "seeded-cv", 2), ("sweep", "silverman", 1),
+    ])
+    def test_training_size_below_selector_minimum(self, capsys, tmp_path, cmd, method, rows):
+        # a training size too small for a selector is select's error, not a
+        # method excluded from every replicate
+        files = {}
+        for n in (rows, rows + 1):
+            files[n] = tmp_path / f"rows{n}.csv"
+            files[n].write_text("".join(f"{i},{math.sin(i)}\n" for i in range(n)))
+        select = run_cli(capsys, "select", "--input", str(files[rows]), "--method", method,
+                         "--folds", "2")
+        assert select[:2] == (3, "") and "needs n >= " in select[2]
+        out_path = tmp_path / "o.csv"
+        argv = {"sweep": ["sweep", "--axis", "n", "--values", f"12,{rows}", "--repeats", "2",
+                          "--test-size", "20"],
+                "jackknife": ["jackknife", "--input", str(files[rows + 1])]}[cmd]
+        got = run_cli(capsys, *argv, "--methods", method, "--folds", "2",
+                      "--output", str(out_path))
+        assert got == select
+        assert not out_path.exists()
+
 
 class TestEveryFlagRead:
     """Every flag a subcommand registers is read on at least one of its
@@ -514,18 +537,18 @@ class TestEveryFlagRead:
             ["verify", "--claim", "prop4"],
             ["verify", "--claim", "bermanis"],
         ],
-        "plot": [["plot", "--input", "{sweep}", "--output", "{out}"]],
     }
+
+    def test_argvs_cover_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(self.ARGVS) == sorted(sub.choices)
 
     @pytest.mark.parametrize("sub", sorted(ARGVS))
     def test_every_registered_flag_is_read(self, capsys, tmp_path, ten_point_file, sub):
         paths = {"data": ten_point_file, "out": tmp_path / "out", "model": tmp_path / "m.csv",
-                 "sweep": tmp_path / "s.csv", "query": tmp_path / "q.csv"}
+                 "query": tmp_path / "q.csv"}
         paths["query"].write_text("0.5\n")
         assert main(["fit", "--input", str(ten_point_file), "--output", str(paths["model"])]) == 0
-        assert main(["sweep", "--axis", "n", "--values", "6", "--repeats", "2",
-                     "--test-size", "5", "--methods", "jacobian",
-                     "--output", str(paths["sweep"])]) == 0
         reads = set()
 
         class Recording(argparse.Namespace):
@@ -664,28 +687,6 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--sigma" in err
-
-class TestPlot:
-    def test_deterministic_svg(self, capsys, tmp_path):
-        sweep_path = tmp_path / "sweep.csv"
-        run_cli(capsys, "sweep", "--axis", "n", "--values", "8,12", "--repeats", "3",
-                "--test-size", "25", "--methods", "jacobian,cv", "--seed", "3",
-                "--grid-size", "15", "--folds", "4", "--output", str(sweep_path))
-        a = tmp_path / "a.svg"
-        b = tmp_path / "b.svg"
-        code, _, _ = run_cli(capsys, "plot", "--input", str(sweep_path), "--output", str(a))
-        assert code == 0
-        run_cli(capsys, "plot", "--input", str(sweep_path), "--output", str(b))
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_text().startswith("<svg")
-
-    def test_bad_input_exit_2(self, capsys, tmp_path):
-        bad = tmp_path / "x.csv"
-        bad.write_text("nope\n")
-        code, _, _ = run_cli(capsys, "plot", "--input", str(bad),
-                             "--output", str(tmp_path / "y.svg"))
-        assert code == 2
-
 
 class TestHelp:
     @pytest.mark.parametrize("sub,defaults", [

@@ -19,7 +19,6 @@ from gkrr.evaluate import (
     _worker_count,
     jackknife_to_csv,
     r_squared,
-    read_sweep_csv,
     run_jackknife,
     run_sweep,
     sweep_to_csv,
@@ -94,11 +93,16 @@ class TestRunJackknife:
         assert report.sd_sigma["jacobian"] < report.sd_sigma["cv"]
 
     def test_exclusions_recorded(self):
-        # n=3: every leave-one-out set has 2 rows, below the Jacobian minimum
-        data = generate_synthetic(3, 0.1, seed=1)
+        # every leave-one-out set has identical rows, so l_max = 0
+        data = Dataset(np.zeros((4, 1)), np.arange(4.0))
         report = run_jackknife(data, 1e-3, methods=("jacobian",))
-        assert report.excluded["jacobian"] == 3
+        assert report.excluded["jacobian"] == 4
         assert math.isnan(report.mean_sigma["jacobian"])
+
+    def test_training_size_below_jacobian_minimum_raises(self):
+        # n=3: every leave-one-out set has 2 rows, known before any replicate runs
+        with pytest.raises(ValueError, match="Jacobian selection needs n >= 3, got 2"):
+            run_jackknife(generate_synthetic(3, 0.1, seed=1), 1e-3, methods=("jacobian",))
 
     def test_n_below_three_rejected(self):
         with pytest.raises(ValueError):
@@ -374,16 +378,6 @@ class TestRunSweep:
         a = run_sweep(AXIS_LAMBDA, [1e-3], **kw)
         b = run_sweep(AXIS_LAMBDA, [1e-3], fixed_lambda=-1.0, **kw)
         assert sweep_to_csv(a) == sweep_to_csv(b)
-
-    def test_csv_round_trip(self, tmp_path):
-        report = run_sweep(AXIS_N, [8, 12], fixed_lambda=1e-3, repeats=3,
-                           test_size=25, methods=("jacobian", "silverman"), seed=13)
-        text = sweep_to_csv(report)
-        path = tmp_path / "sweep.csv"
-        path.write_text(text)
-        back = read_sweep_csv(path)
-        assert sweep_to_csv(back) == text
-        assert back.axis == AXIS_N and back.repeats == 3 and back.seed == 13
 
 
 class TestReplicateRunner:

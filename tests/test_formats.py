@@ -1,4 +1,4 @@
-"""Golden bytes of every table file gkrr writes, and their read-back.
+"""Golden bytes of every table file gkrr writes, and the read-back of those it reads.
 
 Each object is built by hand rather than from a fit, so the expected text
 does not depend on the BLAS build. The literals pin the shared format:
@@ -8,7 +8,6 @@ after every line.
 """
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from gkrr.evaluate import (
     SweepPoint,
     SweepReport,
     jackknife_to_csv,
-    read_sweep_csv,
     sweep_to_csv,
 )
 from gkrr.krr import KrrModel, load_model, save_model
@@ -55,20 +53,8 @@ SWEEP_TEXT = (
 )
 
 
-def test_sweep_report_bytes_and_read_back(tmp_path):
-    text = sweep_to_csv(SWEEP)
-    assert text == SWEEP_TEXT
-    path = tmp_path / "sweep.csv"
-    path.write_bytes(text.encode("utf-8"))
-    back = read_sweep_csv(path)
-    assert (back.axis, back.methods, back.repeats, back.seed) == ("lambda", ("jacobian", "cv"), 4, 11)
-    assert [pt.axis_value for pt in back.points] == [0.001, 0.0]
-    assert math.copysign(1.0, back.points[1].axis_value) == -1.0
-    assert back.points[0].stats["jacobian"] == SWEEP_GOOD
-    assert math.copysign(1.0, back.points[0].stats["jacobian"].p05_r2) == -1.0
-    excluded = astuple(back.points[1].stats["cv"])
-    assert all(math.isnan(v) for v in excluded[:-1]) and excluded[-1] == 4
-    assert sweep_to_csv(back) == text
+def test_sweep_report_bytes():
+    assert sweep_to_csv(SWEEP) == SWEEP_TEXT
 
 
 def test_jackknife_report_bytes():
