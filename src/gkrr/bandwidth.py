@@ -159,13 +159,27 @@ def jacobian_sigma(params: JacobianParams, branch: int = PRINCIPAL) -> float:
     return base * math.sqrt(1.0 - 2.0 * w)
 
 
-def check_rows(method: str, n: int) -> None:
-    """ValueError, with the selector's text, when ``method`` cannot select on
-    ``n`` rows; CV's least n is its fold count (check_cv_settings)."""
-    if method == METHOD_SILVERMAN and n < 2:
-        raise ValueError(f"Silverman's rule needs n >= 2, got {n}")
-    if method in (METHOD_JACOBIAN, METHOD_SEEDED_CV) and n < 3:
-        raise ValueError(f"Jacobian selection needs n >= 3, got {n}")
+def check_selects(methods, n: int, folds: int = DEFAULT_FOLDS, grid_size: int = DEFAULT_GRID_SIZE,
+                  grid_min: float | None = None) -> None:
+    """ValueError, with the selectors' text, unless every selector in ``methods``
+    runs on ``n`` rows or more with these CV settings, ``grid_min`` (unless None)
+    starting cv's grid; CV settings are checked first, then each method's least n."""
+    if METHOD_CV in methods or METHOD_SEEDED_CV in methods:
+        if grid_size < 1:
+            raise ValueError(f"grid size must be >= 1, got {grid_size}")
+        if grid_min is not None and METHOD_CV in methods:
+            if not grid_min > 0:
+                raise ValueError("grid bounds must be positive")
+            check_sigma(grid_min)  # not finite, or 2 grid_min^2 underflows
+        if folds < 2:
+            raise ValueError(f"need at least 2 folds, got {folds}")
+        if n < folds:
+            raise ValueError(f"n={n} smaller than fold count {folds}")
+    for m in methods:
+        if m == METHOD_SILVERMAN and n < 2:
+            raise ValueError(f"Silverman's rule needs n >= 2, got {n}")
+        if m in (METHOD_JACOBIAN, METHOD_SEEDED_CV) and n < 3:
+            raise ValueError(f"Jacobian selection needs n >= 3, got {n}")
 
 
 def select_jacobian(X: np.ndarray, lam: float) -> BandwidthResult:
@@ -175,7 +189,7 @@ def select_jacobian(X: np.ndarray, lam: float) -> BandwidthResult:
     sigma_0 evaluated at the threshold with ``clamped`` set.
     """
     X = as_features(X)
-    check_rows(METHOD_JACOBIAN, len(X))
+    check_selects((METHOD_JACOBIAN,), len(X))
     return _jacobian_closed_form(*X.shape, max_pairwise_distance(X), lam)
 
 
@@ -205,7 +219,7 @@ def select_silverman(X: np.ndarray) -> BandwidthResult:
     """
     X = as_features(X)
     n, p = X.shape
-    check_rows(METHOD_SILVERMAN, n)
+    check_selects((METHOD_SILVERMAN,), n)
     sigma_hat = math.sqrt(float(np.mean(np.var(X, axis=0, ddof=1))))
     if sigma_hat <= 0.0:
         raise ValueError("zero-variance features: Silverman's rule is undefined")
@@ -222,23 +236,6 @@ def default_cv_grid(l_max: float, size: int = DEFAULT_GRID_SIZE, lo: float = DEF
     if size == 1:
         return np.array([math.sqrt(lo * l_max)])
     return np.sort(np.geomspace(lo, l_max, size))
-
-
-def check_cv_settings(folds: int, grid_size: int, grid_min: float | None = None,
-                      n: int | None = None) -> None:
-    """ValueError, with the selectors' text, unless CV can run with ``folds``
-    and ``grid_size`` on ``n`` rows (any data if None) and ``grid_min``
-    (unless None) can start select_cv's default grid."""
-    if grid_size < 1:
-        raise ValueError(f"grid size must be >= 1, got {grid_size}")
-    if grid_min is not None:
-        if not grid_min > 0:
-            raise ValueError("grid bounds must be positive")
-        check_sigma(grid_min)  # not finite, or 2 grid_min^2 underflows
-    if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
-    if n is not None and n < folds:
-        raise ValueError(f"n={n} smaller than fold count {folds}")
 
 
 def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
@@ -282,7 +279,7 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
 def _run_cv(data: Dataset, d2: np.ndarray, lam: float, folds: int, grid: np.ndarray,
             seed: int, method: str) -> BandwidthResult:
     """CV over ``grid``; ``d2`` is pairwise_sq_dists(X, X), negated in place.
-    The callers check ``folds`` and ``data.n`` with check_cv_settings."""
+    The callers check ``folds`` and ``data.n`` with check_selects."""
     grid = np.sort(np.asarray(grid, dtype=float).reshape(-1))
     if grid.size == 0:
         raise ValueError("empty bandwidth grid")
@@ -316,7 +313,7 @@ def select_cv(
     and the data diameter. Deterministic given (data, seed). The distances
     are computed once, for both the diameter and the CV kernels.
     """
-    check_cv_settings(folds, grid_size, n=data.n)
+    check_selects((METHOD_CV,), data.n, folds, grid_size)
     d2 = pairwise_sq_dists(data.features, data.features)
     if grid is None:
         l_max = math.sqrt(float(d2.max()))
@@ -340,8 +337,7 @@ def select_seeded_cv(
     diameter from the distances CV uses. The degenerate grid_size=1 uses
     {sigma_0}, the geometric midpoint.
     """
-    check_cv_settings(folds, grid_size, n=data.n)
-    check_rows(METHOD_SEEDED_CV, data.n)
+    check_selects((METHOD_SEEDED_CV,), data.n, folds, grid_size)
     d2 = pairwise_sq_dists(data.features, data.features)
     sigma0 = _jacobian_closed_form(data.n, data.p, math.sqrt(float(d2.max())), lam).sigma
     if grid_size == 1:

@@ -19,8 +19,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import krr
-from .bandwidth import DEFAULT_FOLDS, DEFAULT_GRID_MIN, DEFAULT_GRID_SIZE, METHOD_CV, METHOD_SEEDED_CV
-from .bandwidth import METHODS, check_cv_settings, check_rows, select_bandwidth
+from .bandwidth import DEFAULT_FOLDS, DEFAULT_GRID_MIN, DEFAULT_GRID_SIZE, METHODS, check_selects
+from .bandwidth import select_bandwidth
 from .data import Dataset, as_features, format_table, generate_synthetic
 from .linalg import FactorizationError, check_lambda, load_lapack
 
@@ -112,17 +112,6 @@ def _run_replicate(task: _Replicate) -> dict:
     return out
 
 
-def _check_selects(methods: tuple[str, ...], folds: int, grid_size: int, grid_min: float,
-                   n_train: int) -> None:
-    """Raise before any replicate runs what every select among ``methods``
-    would raise on training sets of ``n_train`` rows or more, so a bad CV
-    setting or too few rows is an error rather than excluded rows."""
-    if METHOD_CV in methods or METHOD_SEEDED_CV in methods:
-        check_cv_settings(folds, grid_size, grid_min if METHOD_CV in methods else None, n_train)
-    for m in methods:
-        check_rows(m, n_train)
-
-
 def _worker_count(threads: int, tasks: int, cpus: int) -> int:
     """Pool size: ``threads``, but never more than the tasks or usable CPUs."""
     if threads < 1:
@@ -203,7 +192,7 @@ def run_jackknife(
     if data.n < 3:
         raise ValueError(f"jackknife harness needs n >= 3, got {data.n}")
     methods = tuple(methods)
-    _check_selects(methods, folds, grid_size, grid_min, data.n - 1)
+    check_selects(methods, data.n - 1, folds, grid_size, grid_min)
     if eval_grid is None:
         eval_grid = data.features
     eval_grid = as_features(eval_grid)
@@ -345,13 +334,15 @@ def run_sweep(
     if axis == AXIS_N and not all(v.is_integer() for v in axis_values):
         raise ValueError(f"n-axis values must be whole numbers, got {axis_values}")
     methods = tuple(methods)
-    _check_selects(methods, folds, grid_size, grid_min,
-                   int(min(axis_values)) if axis == AXIS_N else int(fixed_n))
+    check_selects(methods, int(min(axis_values)) if axis == AXIS_N else int(fixed_n),
+                  folds, grid_size, grid_min)
 
     fractional = isinstance(test_size, float) and test_size < 1.0
     if fractional and data is None:
         raise ValueError("fractional test_size needs a concrete dataset")
     test_count = max(1, round(test_size * data.n)) if fractional else int(test_size)
+    if test_count < 2:
+        raise ValueError(f"test set of {test_count} row(s): R^2 needs at least 2")
     tasks = []
     for v in axis_values:
         n_train = int(v) if axis == AXIS_N else int(fixed_n)

@@ -78,7 +78,7 @@ def predict(model: KrrModel, X_new: np.ndarray) -> np.ndarray:
     """K(X_new, X_train) @ alpha; an empty input yields an empty vector."""
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim == 1:
-        X_new = X_new.reshape(-1, model.p) if model.p > 1 else X_new.reshape(-1, 1)
+        X_new = X_new.reshape(-1, model.p)
     if X_new.shape[1] != model.p:
         raise ValueError(f"X_new has {X_new.shape[1]} columns, model expects {model.p}")
     if X_new.shape[0] == 0:
@@ -86,19 +86,16 @@ def predict(model: KrrModel, X_new: np.ndarray) -> np.ndarray:
     return kernel_matrix(X_new, model.train_features, model.sigma) @ model.alpha
 
 
-def gradient_fd(model: KrrModel, x_star: np.ndarray, step: float | None = None) -> np.ndarray:
+def gradient_fd(model: KrrModel, x_star: np.ndarray) -> np.ndarray:
     """Central-difference gradient of the fitted function at ``x_star``.
 
-    Per-coordinate error is O(step^2); the default step balances truncation
-    against rounding at double precision. Used for bound verification only.
+    Per-coordinate error is O(step^2); step = 1e-5 max(1, max |x_star|) balances
+    truncation against rounding at double precision. Used for bound verification only.
     """
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
     if x_star.shape[0] != model.p:
         raise ValueError(f"x_star has {x_star.shape[0]} coordinates, model expects {model.p}")
-    if step is None:
-        step = 1e-5 * max(1.0, float(np.abs(x_star).max()))
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
+    step = 1e-5 * max(1.0, float(np.abs(x_star).max()))
     grad = np.empty(model.p)
     for j in range(model.p):
         hi = x_star.copy()

@@ -402,6 +402,23 @@ class TestSweep:
         assert "--test-size" in err and "--input" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("form", ["count", "fraction"])
+    def test_test_set_below_two_rows_exit_3(self, capsys, tmp_path, form):
+        # R^2 needs 2 test rows; a fraction of 50 rows rounds up to 1 row
+        out_path = tmp_path / "x.csv"
+        argv = ["--test-size", "1"]
+        if form == "fraction":
+            data = tmp_path / "d.csv"
+            write_csv(generate_synthetic(50, 0.1, seed=4), data)
+            argv = ["--test-size", "0.01", "--input", str(data)]
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "n", "--values", "10", "--repeats", "2",
+            "--methods", "jacobian,silverman", *argv, "--output", str(out_path),
+        )
+        assert (code, out) == (3, "")
+        assert err == "gkrr: error: test set of 1 row(s): R^2 needs at least 2\n"
+        assert not out_path.exists()
+
 
 class TestGridMaxOnlyWhereUsed:
     """--grid-max is registered on select and fit only: sweep and jackknife

@@ -2,11 +2,12 @@ import math
 import multiprocessing
 import pickle
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gkrr import krr
+from gkrr import evaluate, krr
 from gkrr.bandwidth import select_bandwidth
 from gkrr.data import Dataset, generate_synthetic
 from gkrr.evaluate import (
@@ -157,6 +158,12 @@ class TestRunJackknife:
             run_jackknife(data, 1e-3, methods=("jacobian", "seeded-cv"), folds=6)
         report = run_jackknife(data, 1e-3, methods=("jacobian", "cv"), folds=5, grid_size=4)
         assert report.excluded == {"jacobian": 0, "cv": 0}
+
+    def test_cv_settings_checked_before_row_minimums(self):
+        # n=3: 2 training rows break both jacobian's minimum and the fold count
+        with pytest.raises(ValueError, match="n=2 smaller than fold count 10"):
+            run_jackknife(generate_synthetic(3, 0.1, seed=1), 1e-3, methods=("jacobian", "cv"),
+                          folds=10)
 
     def test_threads_identical(self):
         data = generate_synthetic(8, 0.1, seed=3)
@@ -355,6 +362,22 @@ class TestRunSweep:
             run_sweep(axis, values, repeats=2, test_size=20, methods=("jacobian", method),
                       folds=10, grid_size=5, **kw)
 
+    def test_cv_settings_checked_before_row_minimums(self):
+        # 2 training rows break both jacobian's minimum and the fold count
+        with pytest.raises(ValueError, match="n=2 smaller than fold count 10"):
+            run_sweep(AXIS_N, [12, 2], fixed_lambda=1e-3, repeats=2, test_size=20,
+                      methods=("jacobian", "cv"), folds=10)
+
+    @pytest.mark.parametrize("data, test_size", [
+        (None, 1), (generate_synthetic(50, 0.1, seed=4), 0.01),
+    ], ids=["count", "fraction"])
+    def test_test_set_below_two_rows_raises(self, data, test_size):
+        # R^2 needs 2 test rows: raised before any replicate runs, not turned
+        # into all-nan rows
+        with pytest.raises(ValueError, match=r"test set of 1 row\(s\)"):
+            run_sweep(AXIS_N, [10], data=data, fixed_lambda=1e-3, repeats=2,
+                      test_size=test_size, methods=("jacobian", "silverman"))
+
     @pytest.mark.parametrize("kw", [dict(folds=1), dict(grid_size=0), dict(grid_min=math.nan),
                                     dict(folds=20)])
     def test_cv_settings_unchecked_without_cv(self, kw):
@@ -426,3 +449,11 @@ def test_derived_seed_stable():
     assert _derived_seed(0, 1, 0) == int(
         np.random.SeedSequence([0, 1, 0]).generate_state(1, dtype=np.uint64)[0]
     )
+
+
+def test_harness_leaves_selector_needs_to_bandwidth():
+    # what each selector needs lives in bandwidth.check_selects alone
+    source = Path(evaluate.__file__).read_text()
+    for name in ("METHOD_JACOBIAN", "METHOD_SILVERMAN", "METHOD_CV", "METHOD_SEEDED_CV",
+                 "check_rows", "check_cv_settings"):
+        assert name not in source

@@ -148,7 +148,7 @@ class TestGradientFd:
     def test_single_point_analytic_value(self):
         data = Dataset(np.array([[0.0]]), np.array([1.0]))
         m = fit(data, 1.0, 0.0)
-        g = gradient_fd(m, np.array([1.0]), step=1e-5)
+        g = gradient_fd(m, np.array([1.0]))
         assert g[0] == pytest.approx(-math.exp(-0.5), abs=1e-6)
 
     def test_matches_analytic_gradient(self):
@@ -160,12 +160,6 @@ class TestGradientFd:
             g_fd = gradient_fd(m, x_star)
             g_an = analytic_gradient(m, x_star)
             np.testing.assert_allclose(g_fd, g_an, atol=1e-5)
-
-    def test_step_validation(self):
-        data = generate_synthetic(5, 0.1, seed=7)
-        m = fit(data, 0.5, 1e-3)
-        with pytest.raises(ValueError):
-            gradient_fd(m, np.array([0.0]), step=0.0)
 
 
 class TestBoundChain:
