@@ -161,9 +161,14 @@ def jacobian_sigma(params: JacobianParams, branch: int = PRINCIPAL) -> float:
 
 def check_selects(methods, n: int, folds: int = DEFAULT_FOLDS, grid_size: int = DEFAULT_GRID_SIZE,
                   grid_min: float | None = None) -> None:
-    """ValueError, with the selectors' text, unless every selector in ``methods``
-    runs on ``n`` rows or more with these CV settings, ``grid_min`` (unless None)
-    starting cv's grid; CV settings are checked first, then each method's least n."""
+    """ValueError, with the selectors' text, unless ``methods`` names one or more
+    of METHODS, each running on ``n`` rows or more with these CV settings, ``grid_min``
+    (unless None) starting cv's grid; names first, CV settings, then each least n."""
+    if not methods:
+        raise ValueError("methods is empty")
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
     if METHOD_CV in methods or METHOD_SEEDED_CV in methods:
         if grid_size < 1:
             raise ValueError(f"grid size must be >= 1, got {grid_size}")

@@ -161,10 +161,10 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     return Dataset(arr[:, :-1], arr[:, -1])
 
 
-def write_csv(dataset: Dataset, path, header: list[str] | None = None) -> None:
-    """Write ``dataset`` to ``path`` at 17 significant digits per value."""
+def write_csv(dataset: Dataset, path) -> None:
+    """Write ``dataset`` to ``path``, without a header, at 17 significant digits per value."""
     rows = np.column_stack([dataset.features, dataset.response]).tolist()
-    write_text(path, format_table(rows, header))
+    write_text(path, format_table(rows))
 
 
 def generate_synthetic(n: int, noise_sd: float = 0.1, seed: int = 0) -> Dataset:

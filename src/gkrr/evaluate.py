@@ -1,10 +1,11 @@
 """Experiment harness: R^2 scoring, jackknife statistics, and n/lambda sweeps.
 
-Replicates are independent: each draws its own seeds from a SeedSequence
-rooted at (seed, replicate index), so a lambda-axis sweep reuses the same
-data and folds at every axis value (paired comparisons). With ``threads > 1``
-the replicates of one call run on a pool of worker processes; each is the
-same computation as in a serial run, so the reports are identical.
+The harness draws each replicate's data and fold seed in the calling process,
+from a SeedSequence rooted at (seed, replicate index), so a lambda-axis sweep
+reuses the same data and folds at every axis value (paired comparisons); the
+replicate then only selects, fits and scores. With ``threads > 1`` the
+replicates of one call run on a pool of worker processes, the same computation
+as in a serial run, so the reports are identical.
 
 Per-replicate selector or fit failures exclude that replicate for the failing
 method only; exclusion counts are first-class output, never imputed.
@@ -65,48 +66,31 @@ def r_squared(y_true, y_pred) -> float:
 
 @dataclass(frozen=True)
 class _Replicate:
-    """One sweep or jackknife replicate, pickled to pool workers. ``data=None``
-    draws synthetic sets; with ``eval_grid`` set it leaves row ``index`` of
-    ``data`` out (jackknife); otherwise it splits ``data`` at random."""
+    """One sweep or jackknife replicate, pickled to pool workers: the training
+    set, evaluation rows and fold seed the harness drew, and what to run on them.
+    ``y_eval`` holds the test responses of a sweep, None for a jackknife."""
 
-    n_train: int
+    train: Dataset
+    X_eval: np.ndarray
+    y_eval: np.ndarray | None
     lam: float
-    index: int
-    seed: int
+    fold_seed: int
     methods: tuple[str, ...]
     folds: int
     grid_size: int
     grid_min: float
-    data: Dataset | None = None
-    noise_sd: float = 0.0
-    test_count: int = 0
-    eval_grid: np.ndarray | None = None
 
 
 def _run_replicate(task: _Replicate) -> dict:
-    """{method: (sigma, test R^2 or predictions at eval_grid)}, with None for
-    a method whose select, fit or score failed."""
-    r, data = task.index, task.data
-    if data is None:
-        train = generate_synthetic(task.n_train, task.noise_sd, _derived_seed(task.seed, 1, r))
-        test = generate_synthetic(task.test_count, task.noise_sd, _derived_seed(task.seed, 2, r))
-    elif task.eval_grid is None:
-        test_rows, rest = seeded_split(data.n, task.test_count, task.seed, 4, r)
-        test = data.subset(test_rows)
-        train = data.subset(np.sort(rest[: task.n_train]))
-    else:
-        train = data.subset(np.delete(np.arange(data.n), r))
-    fold_seed = _derived_seed(task.seed, 3, r)
-    out = {}
+    """{method: (sigma, R^2 against y_eval, or without y_eval the predictions at
+    X_eval)}, with None for a method whose select, fit or score failed."""
+    out, train, lam = {}, task.train, task.lam
     for m in task.methods:
         try:
-            sigma = select_bandwidth(m, train, task.lam, folds=task.folds, grid_size=task.grid_size,
-                                     grid_min=task.grid_min, seed=fold_seed).sigma
-            model = krr.fit(train, sigma, task.lam)
-            if task.eval_grid is None:
-                out[m] = (sigma, r_squared(test.response, krr.predict(model, test.features)))
-            else:
-                out[m] = (sigma, krr.predict(model, task.eval_grid))
+            sigma = select_bandwidth(m, train, lam, folds=task.folds, grid_size=task.grid_size,
+                                     grid_min=task.grid_min, seed=task.fold_seed).sigma
+            pred = krr.predict(krr.fit(train, sigma, lam), task.X_eval)
+            out[m] = (sigma, pred if task.y_eval is None else r_squared(task.y_eval, pred))
         except (ValueError, FactorizationError):
             out[m] = None
     return out
@@ -193,14 +177,13 @@ def run_jackknife(
         raise ValueError(f"jackknife harness needs n >= 3, got {data.n}")
     methods = tuple(methods)
     check_selects(methods, data.n - 1, folds, grid_size, grid_min)
-    if eval_grid is None:
-        eval_grid = data.features
-    eval_grid = as_features(eval_grid)
+    eval_grid = as_features(data.features if eval_grid is None else eval_grid)
     if eval_grid.shape[1] != data.p:
         raise ValueError(f"eval_grid has {eval_grid.shape[1]} columns, data has {data.p}")
     results = _map_replicates(
-        [_Replicate(data.n - 1, lam, i, seed, methods, folds, grid_size, grid_min,
-                    data=data, eval_grid=eval_grid) for i in range(data.n)],
+        [_Replicate(data.subset(np.delete(np.arange(data.n), i)), eval_grid, None, lam,
+                    _derived_seed(seed, 3, i), methods, folds, grid_size, grid_min)
+         for i in range(data.n)],
         threads,
     )
 
@@ -351,9 +334,15 @@ def run_sweep(
             raise ValueError(
                 f"cannot split {data.n} rows into train={n_train} plus test={test_count}"
             )
-        tasks += [_Replicate(n_train, lam, r, seed, methods, folds, grid_size, grid_min,
-                             data=data, noise_sd=noise_sd, test_count=test_count)
-                  for r in range(repeats)]
+        for r in range(repeats):
+            if data is None:
+                train = generate_synthetic(n_train, noise_sd, _derived_seed(seed, 1, r))
+                test = generate_synthetic(test_count, noise_sd, _derived_seed(seed, 2, r))
+            else:
+                test_rows, rest = seeded_split(data.n, test_count, seed, 4, r)
+                train, test = data.subset(np.sort(rest[:n_train])), data.subset(test_rows)
+            tasks.append(_Replicate(train, test.features, test.response, lam,
+                                    _derived_seed(seed, 3, r), methods, folds, grid_size, grid_min))
     results = _map_replicates(tasks, threads)
 
     points = []

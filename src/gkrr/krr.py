@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, format_table, read_table, write_text
+from .data import Dataset, _freeze, format_table, read_table, write_text
 from .kernel import _exp_neg_scaled, check_sigma, kernel_matrix, pairwise_sq_dists
 from .linalg import FactorizationError, _factor, check_lambda, solve
 
@@ -26,14 +26,16 @@ class KrrModel:
 
     def __post_init__(self):
         # retain private copies so the model never aliases caller-owned memory
-        X = np.array(self.train_features, dtype=float, copy=True)
-        a = np.array(self.alpha, dtype=float, copy=True)
+        X = _freeze(np.asarray(self.train_features, dtype=float))
+        a = _freeze(np.asarray(self.alpha, dtype=float))
         if a.shape[0] != X.shape[0]:
             raise ValueError(f"alpha has length {a.shape[0]}, expected {X.shape[0]}")
-        X.setflags(write=False)
-        a.setflags(write=False)
+        if not (np.isfinite(X).all() and np.isfinite(a).all()):
+            raise ValueError("model contains non-finite features or alpha")
         object.__setattr__(self, "train_features", X)
         object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
+        object.__setattr__(self, "lam", check_lambda(self.lam))
 
     @property
     def n(self) -> int:
@@ -142,4 +144,7 @@ def load_model(path) -> KrrModel:
     alpha = np.array([float(v) for row in rows[4 + n : 4 + 2 * n] for v in row])
     if alpha.shape != (n,):
         raise ValueError(f"{path}: alpha block has length {alpha.shape[0]}, expected {n}")
-    return KrrModel(train_features=X, alpha=alpha, sigma=sigma, lam=lam)
+    try:
+        return KrrModel(train_features=X, alpha=alpha, sigma=sigma, lam=lam)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -230,6 +230,26 @@ class TestFitPredict:
         assert err.startswith("gkrr: input error:")
         assert not pred_path.exists()
 
+    @pytest.mark.parametrize("line, text", [
+        (3, "inf"), (1, "10,1,-0.5,0.001"),
+    ], ids=["feature-inf", "sigma-negative"])
+    def test_invalid_model_value_exit_2(self, capsys, tmp_path, ten_point_file, line, text):
+        model_path = tmp_path / "model.csv"
+        run_cli(capsys, "fit", "--input", str(ten_point_file), "--output", str(model_path))
+        lines = model_path.read_text().splitlines()
+        lines[line] = text
+        model_path.write_text("\n".join(lines) + "\n")
+        feat_path = tmp_path / "q.csv"
+        feat_path.write_text("0.5\n0.25\n")
+        pred_path = tmp_path / "p.csv"
+        code, out, err = run_cli(
+            capsys, "predict", "--model", str(model_path), "--input", str(feat_path),
+            "--output", str(pred_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"gkrr: input error: {model_path}:")
+        assert not pred_path.exists()
+
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf", "1e-300"])
     def test_invalid_sigma_exit_2(self, capsys, tmp_path, ten_point_file, sigma):
         model_path = tmp_path / "model.csv"

@@ -120,13 +120,6 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.features, d.features)
         np.testing.assert_array_equal(back.response, d.response)
 
-    def test_write_with_header(self, tmp_path):
-        d = Dataset(np.array([[1.0]]), np.array([2.0]))
-        f = tmp_path / "d.csv"
-        write_csv(d, f, header=["x1", "y"])
-        assert f.read_text().splitlines()[0] == "x1,y"
-        assert load_csv(f, has_header=True).n == 1
-
 
 class TestGenerateSynthetic:
     def test_zero_noise_on_curve(self):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import multiprocessing
 import pickle
@@ -15,7 +16,6 @@ from gkrr.evaluate import (
     AXIS_N,
     _derived_seed,
     _mean_sd,
-    _Replicate,
     _run_replicate,
     _worker_count,
     jackknife_to_csv,
@@ -403,23 +403,53 @@ class TestRunSweep:
         assert sweep_to_csv(a) == sweep_to_csv(b)
 
 
+def captured_tasks(monkeypatch, run, *args, **kw) -> list:
+    """The tasks ``run`` hands to the replicate runner, which then runs none of
+    them and reports every method excluded."""
+    tasks = []
+
+    def capture(batch, threads):
+        tasks.extend(batch)
+        return [dict.fromkeys(t.methods) for t in batch]
+
+    monkeypatch.setattr(evaluate, "_map_replicates", capture)
+    run(*args, **kw)
+    return tasks
+
+
 class TestReplicateRunner:
     @pytest.mark.parametrize("kind", ["synthetic", "split", "jackknife"])
-    def test_task_pickles_and_reruns_identically(self, kind):
+    def test_task_pickles_and_reruns_identically(self, monkeypatch, kind):
         data = generate_synthetic(20, 0.1, seed=16)
-        extra = {
-            "synthetic": dict(noise_sd=0.1, test_count=30),
-            "split": dict(data=data, test_count=5),
-            "jackknife": dict(data=data, eval_grid=np.linspace(-4, 4, 7).reshape(-1, 1)),
-        }[kind]
-        task = _Replicate(12 if kind != "jackknife" else 19, 1e-3, 1, 17,
-                          ("jacobian", "cv", "silverman"), 4, 15, 0.01, **extra)
+        kw = dict(methods=("jacobian", "cv", "silverman"), folds=4, grid_size=15,
+                  grid_min=0.01, seed=17)
+        if kind == "jackknife":
+            tasks = captured_tasks(monkeypatch, run_jackknife, data, 1e-3,
+                                   eval_grid=np.linspace(-4, 4, 7).reshape(-1, 1), **kw)
+        else:
+            tasks = captured_tasks(monkeypatch, run_sweep, AXIS_N, [12], fixed_lambda=1e-3,
+                                   repeats=2, data=data if kind == "split" else None,
+                                   test_size=5 if kind == "split" else 30, **kw)
+        task = tasks[1]
         copy = pickle.loads(pickle.dumps(task))
         a, b = _run_replicate(task), _run_replicate(copy)
         assert list(a) == list(b) == ["jacobian", "cv", "silverman"]
         for m in a:
+            assert a[m] is not None
             assert a[m][0] == b[m][0]
             np.testing.assert_array_equal(a[m][1], b[m][1])
+
+    def test_split_task_carries_only_its_rows(self, monkeypatch):
+        data = generate_synthetic(60, 0.1, seed=16)
+        tasks = captured_tasks(monkeypatch, run_sweep, AXIS_N, [12, 20], data=data,
+                               fixed_lambda=1e-3, repeats=3, test_size=0.25,
+                               methods=("jacobian",))
+        assert [t.train.n for t in tasks] == [12] * 3 + [20] * 3
+        rows = set(data.features[:, 0])
+        for t in tasks:
+            assert t.X_eval.shape == (15, 1) and t.y_eval.shape == (15,)
+            train, held = set(t.train.features[:, 0]), set(t.X_eval[:, 0])
+            assert train <= rows and held <= rows and not train & held
 
     @pytest.mark.parametrize("threads,tasks,cpus,expect", [
         (1, 200, 2, 1), (2, 200, 2, 2), (64, 200, 2, 2), (8, 3, 16, 3), (4, 200, 16, 4),
@@ -457,3 +487,32 @@ def test_harness_leaves_selector_needs_to_bandwidth():
     for name in ("METHOD_JACOBIAN", "METHOD_SILVERMAN", "METHOD_CV", "METHOD_SEEDED_CV",
                  "check_rows", "check_cv_settings"):
         assert name not in source
+
+
+def test_replicate_runner_draws_no_data():
+    # the harness draws every replicate's rows and seeds; the runner only
+    # selects, fits and scores
+    source = inspect.getsource(_run_replicate)
+    for name in ("generate_synthetic", "seeded_split", "_derived_seed"):
+        assert name not in source
+
+
+def refuse_replicates(tasks, threads):
+    raise AssertionError("a replicate ran")
+
+
+@pytest.mark.parametrize("methods, message", [
+    (("jacobain",), "unknown method 'jacobain'; expected one of"),
+    (("jacobian", "CV"), "unknown method 'CV'"),
+    ((), "methods is empty"),
+], ids=["misspelt", "second-unknown", "empty"])
+class TestMethodNamesCheckedFirst:
+    def test_sweep(self, monkeypatch, methods, message):
+        monkeypatch.setattr(evaluate, "_map_replicates", refuse_replicates)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(AXIS_N, [10], fixed_lambda=1e-3, repeats=2, test_size=20, methods=methods)
+
+    def test_jackknife(self, monkeypatch, methods, message):
+        monkeypatch.setattr(evaluate, "_map_replicates", refuse_replicates)
+        with pytest.raises(ValueError, match=message):
+            run_jackknife(generate_synthetic(8, 0.1, seed=1), 1e-3, methods=methods)

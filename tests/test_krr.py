@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,35 @@ class TestSerialization:
     def test_alpha_length_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             KrrModel(np.zeros((3, 1)), np.zeros(2), 1.0, 0.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("train_features", [[0.0], [math.inf]], "model contains non-finite"),
+        ("alpha", [1.0, math.nan], "model contains non-finite"),
+        ("sigma", -0.5, "sigma must be finite and > 0"),
+        ("sigma", math.nan, "sigma must be finite and > 0"),
+        ("lam", -1.0, "lambda must be finite and >= 0"),
+        ("lam", math.inf, "lambda must be finite and >= 0"),
+    ], ids=["feature-inf", "alpha-nan", "sigma-negative", "sigma-nan", "lambda-negative",
+            "lambda-inf"])
+    def test_invalid_values_rejected(self, field, value, message):
+        kw = dict(train_features=[[0.0], [1.0]], alpha=[1.0, 2.0], sigma=0.5, lam=0.0)
+        with pytest.raises(ValueError, match=message):
+            KrrModel(**{**kw, field: value})
+
+    @pytest.mark.parametrize("line, text, message", [
+        (3, "inf", "model contains non-finite"),
+        (7, "nan", "model contains non-finite"),
+        (1, "2,1,-0.5,0", "sigma must be finite and > 0"),
+        (1, "2,1,0.5,-1", "lambda must be finite and >= 0"),
+    ], ids=["feature-inf", "alpha-nan", "sigma-negative", "lambda-negative"])
+    def test_load_model_names_file_with_invalid_values(self, tmp_path, line, text, message):
+        path = tmp_path / "model.csv"
+        save_model(KrrModel(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]), 0.5, 0.0), path)
+        lines = path.read_text().splitlines()
+        lines[line] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_model(path)
 
     def test_model_copies_caller_arrays(self):
         X = np.ones((2, 1))
