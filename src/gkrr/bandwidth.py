@@ -33,7 +33,7 @@ import numpy as np
 from .data import Dataset, as_features, make_kfold
 from .kernel import check_sigma, max_pairwise_distance, pairwise_sq_dists
 from .lambertw import NEGATIVE, PRINCIPAL, lambert_w
-from .linalg import FactorizationError, _factor, check_lambda, solve
+from .linalg import check_lambda, load_lapack
 
 METHOD_JACOBIAN = "jacobian"
 METHOD_SILVERMAN = "silverman"
@@ -44,8 +44,8 @@ METHODS = (METHOD_JACOBIAN, METHOD_SILVERMAN, METHOD_CV, METHOD_SEEDED_CV)
 DEFAULT_GRID_MIN = 0.01
 DEFAULT_GRID_SIZE = 100
 DEFAULT_FOLDS = 10
-# per CV kernel stack (128 KB), factored slice by slice and scored as one:
-# one sigma per stack once m > 128
+# per CV kernel stack (128 KB) of n x n kernels, exponentiated once and gathered
+# fold by fold: one sigma per stack once n > 128
 _CV_STACK_FLOATS = 2**14
 
 
@@ -248,36 +248,42 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
     """Mean validation MSE per grid sigma over a fixed fold partition.
 
     Folds are built once and reused for every sigma, so the grid comparison
-    is paired. ``neg_d2`` is the caller's -pairwise_sq_dists(X, X); each fold
-    stacks the kernels of ``_CV_STACK_FLOATS // m^2`` sigmas (at least one).
-    LAPACK factors and solves each slice not yet at +inf, unchecked:
-    symmetric by construction; a failed factor makes +inf. The validation
-    residuals and losses of a stack then take one stacked product and one
-    row-wise mean.
+    is paired. ``neg_d2`` is the caller's -pairwise_sq_dists(X, X); a stack of
+    ``_CV_STACK_FLOATS // n^2`` sigmas (at least one) exponentiates it once,
+    and each fold gathers its training and validation blocks from that stack,
+    C-ordered (a strided block takes another matmul path, rounded
+    differently). LAPACK factors and solves each slice not yet at +inf,
+    unchecked: symmetric by construction; a failed factor makes +inf. The
+    validation residuals and losses of a stack then take one stacked product
+    and one row-wise mean.
     """
-    y = data.response
-    totals = np.zeros(len(grid))
-    for plan in make_kfold(data.n, folds, seed):
-        tr, te = plan.train_indices, plan.test_indices
-        d_tr, d_te, y_tr, y_te = neg_d2[np.ix_(tr, tr)], neg_d2[np.ix_(te, tr)], y[tr], y[te]
-        diag, block = np.arange(len(tr)), max(1, _CV_STACK_FLOATS // d_tr.size)
-        for start in range(0, len(grid), block):
-            scale = 2.0 * grid[start : start + block, None, None] ** 2
-            K = d_tr / scale
-            np.exp(K, out=K)
-            K[:, diag, diag] = 1.0 + lam
-            stack = slice(start, start + len(K))
-            ok = totals[stack] != math.inf
-            alphas = np.zeros((len(K), len(tr), 1))
+    y, n = data.response, data.n
+    plans, lapack = make_kfold(n, folds, seed), load_lapack()
+    totals, block = np.zeros(len(grid)), max(1, _CV_STACK_FLOATS // n**2)
+    for start in range(0, len(grid), block):
+        E = neg_d2 / (2.0 * grid[start : start + block, None, None] ** 2)
+        E = np.exp(E, out=E).reshape(len(E), -1)
+        stack = slice(start, start + len(E))
+        for plan in plans:
+            tr, te = plan.train_indices, plan.test_indices
+            K = E.take((tr[:, None] * n + tr).ravel(), axis=1).reshape(len(E), len(tr), -1)
+            K.reshape(len(E), -1)[:, :: len(tr) + 1] = 1.0 + lam
+            ok, y_tr = totals[stack] != math.inf, y[tr]
+            alphas = np.zeros((len(E), len(tr), 1))
             for i in np.flatnonzero(ok):
-                try:  # K[i].T is F-ordered, so LAPACK factors it in place
-                    alphas[i, :, 0] = solve(_factor(K[i].T, lam), y_tr)
-                except FactorizationError:
+                # K[i].T is F-ordered: dpotrf overwrites it with the factor dpotrs reads
+                info = lapack.dpotrf(K[i].T, lower=1, overwrite_a=1)[1]
+                if info < 0:
+                    raise ValueError(f"invalid argument {-info} passed to dpotrf")
+                if info > 0:
                     ok[i] = False
-            r = np.exp(d_te / scale) @ alphas
-            np.subtract(y_te[:, None], r, out=r)
+                else:
+                    alphas[i, :, 0] = lapack.dpotrs(K[i].T, y_tr, lower=1)[0]
+            r = E.take((te[:, None] * n + tr).ravel(), axis=1).reshape(len(E), len(te), -1) @ alphas
+            np.subtract(y[te][:, None], r, out=r)
             r *= r
             totals[stack] = np.where(ok, totals[stack] + np.mean(r, axis=1)[:, 0], math.inf)
+            del K  # so the next fold's block is gathered beside E alone
     return totals / folds
 
 

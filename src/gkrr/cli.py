@@ -48,8 +48,8 @@ def _parse_test_size(text: str):
         v = float(text)
     except ValueError:
         raise _InputError(f"cannot parse --test-size {text!r}") from None
-    if v <= 0:
-        raise _InputError("--test-size must be positive")
+    if not 0 < v < math.inf:
+        raise _InputError("--test-size must be finite and positive")
     return v if v < 1.0 else int(round(v))
 
 
@@ -143,6 +143,8 @@ def cmd_synth(args) -> int:
 def cmd_sweep(args) -> int:
     if args.threads < 1:
         raise _InputError("--threads must be >= 1")
+    if args.repeats < 2:
+        raise _InputError("--repeats must be >= 2")
     _check_noise_sd(args)
     _check_finite("--grid-min", args.grid_min)
     values = _parse_values(args.values)

@@ -390,14 +390,15 @@ class TestCvLossesExact:
     Both see the same distances for p=1 (one product per entry), so the
     curves are bit-identical; for p=3 the full-data distance matrix rounds
     its dot products differently from per-fold ones, in the last bits.
-    The 37-point grid splits into stacks of 18, 18 and 1 sigmas on n=40's
-    folds (m=30); n=200's folds (m=150) take one sigma per stack.
+    Each stack exponentiates the full n x n distances, so the 37-point grid
+    splits into stacks of 10, 10, 10 and 7 sigmas at n=40; n=200 takes one
+    sigma per stack.
     """
 
     @pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0])
     @pytest.mark.parametrize("p", [1, 3])
     def test_matches_reference_loop(self, p, lam):
-        assert _CV_STACK_FLOATS // 30**2 == 18 and _CV_STACK_FLOATS // 150**2 == 0
+        assert _CV_STACK_FLOATS // 40**2 == 10 and _CV_STACK_FLOATS // 200**2 == 0
         partial = 0
         for n, seed in ((12, 0), (25, 1), (40, 2), (200, 3)):
             rng = np.random.default_rng(seed)
@@ -462,22 +463,47 @@ class TestCvLossesExact:
         new = self._exact(self.NEAR_PAIR, 0.0, 3, self.NEAR_PAIR_GRID, 4)
         assert np.isinf(new).tolist() == [False, False, True, True, True]
 
+    def test_peak_memory_of_one_sigma_stacks(self):
+        # n=400 takes one sigma per stack: its n x n kernel, plus one fold's
+        # gathered block and its indices (2.65 n^2 floats when measured)
+        import tracemalloc
+
+        from gkrr.linalg import load_lapack
+
+        n = 400
+        data = generate_synthetic(n, 0.1, seed=0)
+        neg_d2 = -pairwise_sq_dists(data.features, data.features)
+        grid = default_cv_grid(max_pairwise_distance(data.features), 20)
+        load_lapack()  # scipy's import is not the engine's memory
+        tracemalloc.start()
+        try:
+            _cv_mean_losses(data, neg_d2, 1e-3, 10, grid, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * 8
+
     def test_one_factor_and_solve_per_live_slice(self, monkeypatch):
         # dpotrf decides every +inf: each (sigma, fold) not yet failed is
         # factored once, and each factor that succeeds is solved once
         import gkrr.bandwidth as bw
 
         calls = []
-        real_factor, real_solve = bw._factor, bw.solve
+        lapack = bw.load_lapack()
 
-        def counting_factor(A, lam):
-            calls.append("factor")
-            c = real_factor(A, lam)
-            calls.append("factored")
-            return c
+        class CountingLapack:
+            def dpotrf(self, *args, **kwargs):
+                calls.append("factor")
+                c, info = lapack.dpotrf(*args, **kwargs)
+                if info == 0:
+                    calls.append("factored")
+                return c, info
 
-        monkeypatch.setattr(bw, "_factor", counting_factor)
-        monkeypatch.setattr(bw, "solve", lambda c, b: calls.append("solve") or real_solve(c, b))
+            def dpotrs(self, *args, **kwargs):
+                calls.append("solve")
+                return lapack.dpotrs(*args, **kwargs)
+
+        monkeypatch.setattr(bw, "load_lapack", CountingLapack)
         data, grid = self.NEAR_PAIR, self.NEAR_PAIR_GRID
         _cv_mean_losses(data, -pairwise_sq_dists(data.features, data.features), 0.0, 3, grid, 4)
         live = failed = 0  # per sigma, the folds up to and including its first failure

@@ -422,6 +422,34 @@ class TestSweep:
         assert "--test-size" in err and "--input" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("test_size", ["nan", "inf", "1e400", "0", "-3"])
+    def test_test_size_not_finite_and_positive_exit_2(self, capsys, tmp_path, test_size):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "n", "--values", "10", "--repeats", "2",
+            "--test-size", test_size, "--methods", "jacobian", "--output", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "gkrr: input error: --test-size must be finite and positive\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("repeats", ["1", "0", "-2"])
+    def test_repeats_below_two_exit_2(self, capsys, tmp_path, monkeypatch, repeats):
+        import gkrr.evaluate as evaluate
+
+        def refuse_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(evaluate, "_map_replicates", refuse_replicates)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "n", "--values", "10", "--repeats", repeats,
+            "--test-size", "20", "--methods", "jacobian", "--output", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "gkrr: input error: --repeats must be >= 2\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("form", ["count", "fraction"])
     def test_test_set_below_two_rows_exit_3(self, capsys, tmp_path, form):
         # R^2 needs 2 test rows; a fraction of 50 rows rounds up to 1 row
