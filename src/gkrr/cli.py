@@ -50,7 +50,9 @@ def _parse_test_size(text: str):
         raise _InputError(f"cannot parse --test-size {text!r}") from None
     if not 0 < v < math.inf:
         raise _InputError("--test-size must be finite and positive")
-    return v if v < 1.0 else int(round(v))
+    if v >= 1.0 and not v.is_integer():
+        raise _InputError(f"--test-size of 1 or more must be a whole row count, got {text!r}")
+    return v if v < 1.0 else int(v)
 
 
 def _sigma_flag(args) -> float | None:

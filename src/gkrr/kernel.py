@@ -1,8 +1,9 @@
 """Gaussian kernel evaluation, kernel matrices, and the data diameter.
 
 Point sets are (n x p) feature matrices, checked by ``data.as_features``: a
-1-D array is rejected, not read as one point. Distances use the expanded form
-(||a||^2 + ||b||^2) - 2 a.b with small negatives clamped to zero. When both
+1-D array is rejected, not read as one point. Distance matrices use the
+expanded form (||a||^2 + ||b||^2) - 2 a.b with small negatives clamped to
+zero; the one-query kernel row behind the gradient uses x - x_i. When both
 kernel-matrix arguments are the same object, the upper triangle is mirrored
 so the result is exactly symmetric with a unit diagonal.
 
@@ -113,6 +114,17 @@ def kernel_gradient_norm(d, sigma: float):
     return float(out) if np.isscalar(d) else out
 
 
+def _query_row(X: np.ndarray, x_star, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """x_star - x_i for every row of X, and k(x_star, x_i) from those differences
+    (not expanded norms), so ``krr.gradient`` and its bound share k's bits."""
+    x_star = np.asarray(x_star, dtype=float).reshape(-1)
+    if x_star.shape[0] != X.shape[1]:
+        raise ValueError(f"x_star has {x_star.shape[0]} coordinates, expected {X.shape[1]}")
+    diff = x_star[None, :] - X
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    return diff, np.exp(-d2 / (2.0 * sigma * sigma))
+
+
 def gradient_one_norm_bound(X: np.ndarray, x_star: np.ndarray, sigma: float) -> float:
     """max_i of the Cartesian 1-norm of the kernel gradient at x_star.
 
@@ -121,14 +133,5 @@ def gradient_one_norm_bound(X: np.ndarray, x_star: np.ndarray, sigma: float) -> 
     factor of the three-factor gradient bound.
     """
     sigma = check_sigma(sigma)
-    X = as_features(X)
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    if x_star.shape[0] != X.shape[1]:
-        raise ValueError(
-            f"x_star has {x_star.shape[0]} coordinates, expected {X.shape[1]}"
-        )
-    diff = x_star[None, :] - X
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    k = np.exp(-d2 / (2.0 * sigma * sigma))
-    one_norms = np.abs(diff).sum(axis=1)
-    return float(np.max(k * one_norms) / (sigma * sigma))
+    diff, k = _query_row(as_features(X), x_star, sigma)
+    return float(np.max(k * np.abs(diff).sum(axis=1)) / (sigma * sigma))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _freeze, format_table, read_table, write_text
-from .kernel import _exp_neg_scaled, check_sigma, kernel_matrix, pairwise_sq_dists
+from .kernel import _exp_neg_scaled, _query_row, check_sigma, kernel_matrix, pairwise_sq_dists
 from .linalg import FactorizationError, _factor, check_lambda, solve
 
 
@@ -88,26 +88,11 @@ def predict(model: KrrModel, X_new: np.ndarray) -> np.ndarray:
     return kernel_matrix(X_new, model.train_features, model.sigma) @ model.alpha
 
 
-def gradient_fd(model: KrrModel, x_star: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of the fitted function at ``x_star``.
-
-    Per-coordinate error is O(step^2); step = 1e-5 max(1, max |x_star|) balances
-    truncation against rounding at double precision. Used for bound verification only.
-    """
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    if x_star.shape[0] != model.p:
-        raise ValueError(f"x_star has {x_star.shape[0]} coordinates, model expects {model.p}")
-    step = 1e-5 * max(1.0, float(np.abs(x_star).max()))
-    grad = np.empty(model.p)
-    for j in range(model.p):
-        hi = x_star.copy()
-        lo = x_star.copy()
-        hi[j] += step
-        lo[j] -= step
-        f_hi = predict(model, hi.reshape(1, -1))[0]
-        f_lo = predict(model, lo.reshape(1, -1))[0]
-        grad[j] = (f_hi - f_lo) / (2.0 * step)
-    return grad
+def gradient(model: KrrModel, x_star: np.ndarray) -> np.ndarray:
+    """Exact gradient of the fitted function at ``x_star``:
+    sum_i alpha_i k(x_star, x_i) (x_i - x_star) / sigma^2."""
+    diff, k = _query_row(model.train_features, x_star, model.sigma)
+    return -((model.alpha * k) @ diff) / (model.sigma * model.sigma)
 
 
 def save_model(model: KrrModel, path) -> None:

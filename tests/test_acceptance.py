@@ -21,6 +21,9 @@ lines. Two criteria check a measured finding rather than a clean inequality:
   [0.38, 1.04] includes 1: the gain there rests on one replicate where CV
   picks sigma = 1.257, outside 5 sigma_0.
 
+``test_finding_sigma0_vs_fit_gradient`` asserts nothing about the method:
+it prints where the fit's own sup |f'| is smallest on [sigma_0/5, 5 sigma_0].
+
 The shared sweep uses seed 5, whose accuracy-gap realization matches the
 cross-seed mean (representative, not selected for outcome).
 """
@@ -41,7 +44,7 @@ from gkrr.bandwidth import (
 from gkrr.data import Dataset, generate_synthetic
 from gkrr.evaluate import AXIS_LAMBDA, AXIS_N, run_sweep
 from gkrr.kernel import kernel_gradient_norm
-from gkrr.krr import fit, predict
+from gkrr.krr import fit, gradient, predict
 from gkrr.lambertw import BRANCH_POINT, NEGATIVE, PRINCIPAL, lambert_w
 from gkrr.linalg import FactorizationError, factor_spd, solve
 from gkrr.verify import check_prop1_regimes, check_prop2_chain, check_prop4
@@ -276,6 +279,38 @@ def test_c08_bandwidth_stability(accuracy_sweep):
         f"sd(sigma_seeded)/sd(sigma_cv) above the 5% F critical value at "
         f"(n, ratio, critical) {seeded_bad}"
     )
+
+
+def test_finding_sigma0_vs_fit_gradient():
+    """Printed, not asserted: does sigma_0 minimise the fit's real sup |f'|?
+
+    sup |f'| over 1,001 points of the data's range, at 41 log-spaced sigmas in
+    [sigma_0/5, 5 sigma_0], from one batched p = 1 formula per sigma. The
+    only assertion checks that formula against ``krr.gradient``.
+    """
+    ratios = np.geomspace(0.2, 5.0, 41)  # ratios[20] == 1: sigma_0 itself
+    lines = []
+    for n, seed in ((40, 7), (40, 8), (100, 7)):
+        data = generate_synthetic(n, 0.1, seed)
+        x = data.features[:, 0]
+        grid = np.linspace(x.min(), x.max(), 1001)
+        D = x[None, :] - grid[:, None]  # x_i - x
+        H = -0.5 * D * D
+        for lam in (1e-3, 0.1):
+            sigma0 = select_jacobian(data.features, lam).sigma
+            sup = []
+            for r in ratios:
+                model = fit(data, r * sigma0, lam)
+                s2 = model.sigma * model.sigma
+                slope = (np.exp(H / s2) * D) @ model.alpha / s2
+                sup.append(float(np.abs(slope).max()))
+            i_min = int(np.argmin(sup))
+            lines.append(f"n={n} seed={seed} lambda={lam:g}: min at {ratios[i_min]:.2f} "
+                         f"sigma_0, sup|f'|(sigma_0) / min {sup[20] / sup[i_min]:.2f}")
+    check = [gradient(model, [g])[0] for g in grid[::250]]
+    scale = np.abs(model.alpha).sum() / model.sigma
+    np.testing.assert_allclose(slope[::250], check, rtol=0, atol=1e-14 * scale)
+    print("[FINDING] sigma_0 vs the fit's sup |f'|: " + "; ".join(lines))
 
 
 def test_c09_small_n_accuracy(accuracy_sweep):

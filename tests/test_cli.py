@@ -433,6 +433,30 @@ class TestSweep:
         assert err == "gkrr: input error: --test-size must be finite and positive\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("test_size", ["20.7", "1.5"])
+    def test_test_size_non_whole_count_exit_2(self, capsys, tmp_path, test_size):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "n", "--values", "10", "--repeats", "2",
+            "--test-size", test_size, "--methods", "jacobian", "--output", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == ("gkrr: input error: --test-size of 1 or more must be a whole row "
+                       f"count, got {test_size!r}\n")
+        assert not out_path.exists()
+
+    def test_test_size_count_in_exponent_form(self, capsys, tmp_path):
+        reports = []
+        for text in ("1000", "1e3"):
+            out_path = tmp_path / f"{text}.csv"
+            code, _, _ = run_cli(
+                capsys, "sweep", "--axis", "n", "--values", "10", "--repeats", "2",
+                "--test-size", text, "--methods", "jacobian", "--output", str(out_path),
+            )
+            assert code == 0
+            reports.append(out_path.read_bytes())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("repeats", ["1", "0", "-2"])
     def test_repeats_below_two_exit_2(self, capsys, tmp_path, monkeypatch, repeats):
         import gkrr.evaluate as evaluate

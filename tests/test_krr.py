@@ -4,20 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import complex_step_gradient
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkrr.data import Dataset, generate_synthetic
 from gkrr.kernel import kernel_matrix, max_pairwise_distance
-from gkrr.krr import KrrModel, fit, gradient_fd, load_model, predict, save_model
+from gkrr.krr import KrrModel, fit, gradient, load_model, predict, save_model
 from gkrr.linalg import FactorizationError, factor_spd, singular_extremes, solve
-
-
-def analytic_gradient(model, x_star):
-    """sum_i alpha_i * (-(x*-x_i)/sigma^2) * k(d_i): direct differentiation."""
-    x_star = np.asarray(x_star, dtype=float)
-    diff = x_star[None, :] - model.train_features
-    d2 = np.sum(diff**2, axis=1)
-    k = np.exp(-d2 / (2 * model.sigma**2))
-    return -(model.alpha * k) @ diff / model.sigma**2
+from gkrr.verify import _PROP2_REL_TOL
 
 
 class TestFit:
@@ -139,28 +134,47 @@ class TestPredict:
             predict(m, np.zeros((2, 3)))
 
 
-class TestGradientFd:
+class TestGradient:
     def test_flat_at_training_point_of_constant_model(self):
         data = Dataset(np.array([[0.0]]), np.array([3.0]))
         m = fit(data, 1.0, 0.0)
-        g = gradient_fd(m, np.array([0.0]))
-        assert abs(g[0]) <= 1e-6
+        assert gradient(m, np.array([0.0]))[0] == 0.0
 
     def test_single_point_analytic_value(self):
         data = Dataset(np.array([[0.0]]), np.array([1.0]))
         m = fit(data, 1.0, 0.0)
-        g = gradient_fd(m, np.array([1.0]))
-        assert g[0] == pytest.approx(-math.exp(-0.5), abs=1e-6)
+        g = gradient(m, np.array([1.0]))
+        assert g[0] == pytest.approx(-math.exp(-0.5), rel=1e-15)
 
-    def test_matches_analytic_gradient(self):
+    def test_matches_complex_step(self):
         rng = np.random.default_rng(6)
         data = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
         m = fit(data, 0.9, 1e-2)
+        scale = np.abs(m.alpha).sum() / m.sigma
         for _ in range(5):
             x_star = rng.normal(size=3)
-            g_fd = gradient_fd(m, x_star)
-            g_an = analytic_gradient(m, x_star)
-            np.testing.assert_allclose(g_fd, g_an, atol=1e-5)
+            oracle = complex_step_gradient(m.train_features, m.alpha, m.sigma, x_star)
+            np.testing.assert_allclose(gradient(m, x_star), oracle, rtol=0, atol=1e-14 * scale)
+
+    @given(st.integers(1, 3), st.floats(0.05, 2.0), st.floats(0.0, 3.0),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_complex_step_property(self, p, sigma, reach, seed):
+        # data in [-1, 1]^p; x_star in [-reach, reach]^p, so often outside it
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 16))
+        data = Dataset(rng.uniform(-1.0, 1.0, (n, p)), rng.normal(size=n))
+        m = fit(data, sigma, float(rng.choice([1e-3, 0.1, 1.0])))
+        x_star = reach * rng.uniform(-1.0, 1.0, p)
+        oracle = complex_step_gradient(m.train_features, m.alpha, sigma, x_star)
+        atol = 1e-14 * np.abs(m.alpha).sum() / sigma
+        np.testing.assert_allclose(gradient(m, x_star), oracle, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("x_star", [[0.0], [0.0, 1.0, 2.0], np.zeros((2, 2))])
+    def test_wrong_length_raises(self, x_star):
+        m = fit(Dataset(np.zeros((1, 2)), np.ones(1)), 1.0, 0.0)
+        with pytest.raises(ValueError, match="coordinates, expected 2"):
+            gradient(m, x_star)
 
 
 class TestBoundChain:
@@ -185,12 +199,12 @@ class TestBoundChain:
             s_min = singular_extremes(kernel_matrix(X, None, sigma))[1]
             outer = math.sqrt(n) * np.linalg.norm(y) / (s_min + lam)
             x_star = rng.uniform(-1.2, 1.2, size=p)
-            g = np.linalg.norm(gradient_fd(m, x_star))
+            g = np.linalg.norm(gradient(m, x_star))
             bound = outer * gradient_one_norm_bound(X, x_star, sigma)
-            assert g <= bound * (1 + 1e-8)
+            assert g <= bound * (1 + _PROP2_REL_TOL)
             # the cap variant: middle factor replaced by 1/(sigma sqrt(e))
             cap_bound = outer / (sigma * math.sqrt(math.e))
-            assert g <= cap_bound * (1 + 1e-8)
+            assert g <= cap_bound * (1 + _PROP2_REL_TOL)
             checked += 1
         assert checked >= 90
 
