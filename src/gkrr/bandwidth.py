@@ -160,10 +160,10 @@ def jacobian_sigma(params: JacobianParams, branch: int = PRINCIPAL) -> float:
 
 
 def check_selects(methods, n: int, folds: int = DEFAULT_FOLDS, grid_size: int = DEFAULT_GRID_SIZE,
-                  grid_min: float | None = None) -> None:
+                  grid_min: float = DEFAULT_GRID_MIN) -> None:
     """ValueError, with the selectors' text, unless ``methods`` names one or more
     of METHODS, each running on ``n`` rows or more with these CV settings, ``grid_min``
-    (unless None) starting cv's grid; names first, CV settings, then each least n."""
+    starting cv's grid; names first, CV settings, then each least n."""
     if not methods:
         raise ValueError("methods is empty")
     for m in methods:
@@ -172,7 +172,7 @@ def check_selects(methods, n: int, folds: int = DEFAULT_FOLDS, grid_size: int = 
     if METHOD_CV in methods or METHOD_SEEDED_CV in methods:
         if grid_size < 1:
             raise ValueError(f"grid size must be >= 1, got {grid_size}")
-        if grid_min is not None and METHOD_CV in methods:
+        if METHOD_CV in methods:
             if not grid_min > 0:
                 raise ValueError("grid bounds must be positive")
             check_sigma(grid_min)  # not finite, or 2 grid_min^2 underflows
@@ -289,13 +289,8 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
 
 def _run_cv(data: Dataset, d2: np.ndarray, lam: float, folds: int, grid: np.ndarray,
             seed: int, method: str) -> BandwidthResult:
-    """CV over ``grid``; ``d2`` is pairwise_sq_dists(X, X), negated in place.
-    The callers check ``folds`` and ``data.n`` with check_selects."""
-    grid = np.sort(np.asarray(grid, dtype=float).reshape(-1))
-    if grid.size == 0:
-        raise ValueError("empty bandwidth grid")
-    if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
-        raise ValueError("grid bandwidths must be finite and positive")
+    """CV over the ascending, finite ``grid``; ``d2`` is pairwise_sq_dists(X, X),
+    negated in place. The callers check ``folds`` and ``data.n`` with check_selects."""
     check_sigma(grid[0])  # an underflowing 2 sigma^2 makes a nan loss, which argmin picks
     lam = check_lambda(lam)
     losses = _cv_mean_losses(data, np.negative(d2, out=d2), lam, folds, grid, seed)
@@ -313,26 +308,28 @@ def select_cv(
     data: Dataset,
     lam: float,
     folds: int = DEFAULT_FOLDS,
-    grid: np.ndarray | None = None,
     grid_size: int = DEFAULT_GRID_SIZE,
     grid_min: float = DEFAULT_GRID_MIN,
+    grid_max: float | None = None,
     seed: int = 0,
 ) -> BandwidthResult:
     """Grid cross-validation: minimize mean validation MSE over k folds.
 
-    Default grid: ``grid_size`` log-spaced bandwidths between ``grid_min``
-    and the data diameter. Deterministic given (data, seed). The distances
-    are computed once, for both the diameter and the CV kernels.
+    The grid is ``grid_size`` log-spaced bandwidths between ``grid_min`` and
+    ``grid_max`` (None: the data diameter, the bounds swapped if it is below
+    ``grid_min``). Deterministic given (data, seed). The distances are
+    computed once, for both the diameter and the CV kernels.
     """
-    check_selects((METHOD_CV,), data.n, folds, grid_size)
+    check_selects((METHOD_CV,), data.n, folds, grid_size, grid_min)
+    if grid_max is not None and not grid_min <= grid_max < math.inf:
+        raise ValueError(f"grid_max must be finite and >= grid_min={grid_min}, got {grid_max}")
     d2 = pairwise_sq_dists(data.features, data.features)
-    if grid is None:
-        l_max = math.sqrt(float(d2.max()))
-        if l_max <= 0.0:
+    if grid_max is None:
+        grid_max = math.sqrt(float(d2.max()))
+        if grid_max <= 0.0:
             raise ValueError("all rows identical: cannot build the default CV grid")
-        lo, hi = min(grid_min, l_max), max(grid_min, l_max)
-        grid = default_cv_grid(hi, grid_size, lo)
-    return _run_cv(data, d2, lam, folds, np.asarray(grid), seed, METHOD_CV)
+    grid = default_cv_grid(max(grid_min, grid_max), grid_size, min(grid_min, grid_max))
+    return _run_cv(data, d2, lam, folds, grid, seed, METHOD_CV)
 
 
 def select_seeded_cv(
@@ -363,9 +360,9 @@ def select_bandwidth(
     data: Dataset,
     lam: float,
     folds: int = DEFAULT_FOLDS,
-    grid: np.ndarray | None = None,
     grid_size: int = DEFAULT_GRID_SIZE,
     grid_min: float = DEFAULT_GRID_MIN,
+    grid_max: float | None = None,
     seed: int = 0,
 ) -> BandwidthResult:
     """Dispatch to one of the four selectors by method name."""
@@ -374,8 +371,7 @@ def select_bandwidth(
     if method == METHOD_SILVERMAN:
         return select_silverman(data.features)
     if method == METHOD_CV:
-        return select_cv(data, lam, folds=folds, grid=grid, grid_size=grid_size,
-                         grid_min=grid_min, seed=seed)
+        return select_cv(data, lam, folds, grid_size, grid_min, grid_max, seed)
     if method == METHOD_SEEDED_CV:
         return select_seeded_cv(data, lam, folds=folds, grid_size=grid_size, seed=seed)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -77,18 +77,14 @@ def _check_noise_sd(args) -> None:
 
 
 def _select(args, data: Dataset) -> bandwidth.BandwidthResult:
-    """Run the --method selector; --grid-max gives CV an explicit log grid."""
+    """Run the --method selector; --grid-max, if given, ends CV's grid."""
     _check_finite("--grid-min", args.grid_min)
     _check_finite("--grid-max", args.grid_max)
-    grid = None
-    if args.grid_max is not None:
-        if args.grid_max <= args.grid_min:
-            raise _InputError("--grid-max must exceed --grid-min")
-        if args.method == bandwidth.METHOD_CV:
-            grid = bandwidth.default_cv_grid(args.grid_max, args.grid_size, args.grid_min)
+    if args.grid_max is not None and args.grid_max <= args.grid_min:
+        raise _InputError("--grid-max must exceed --grid-min")
     return bandwidth.select_bandwidth(
-        args.method, data, args.lam, folds=args.folds, grid=grid,
-        grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
+        args.method, data, args.lam, folds=args.folds, grid_size=args.grid_size,
+        grid_min=args.grid_min, grid_max=args.grid_max, seed=args.seed,
     )
 
 
@@ -226,6 +222,8 @@ def _verify_points(args) -> np.ndarray:
 def cmd_verify(args) -> int:
     claim = _CLAIM_FLAGS[args.claim]
     sigma = _sigma_flag(args)
+    if not 0.0 < args.lmax < math.inf:
+        raise _InputError("--lmax must be finite and > 0")
     _check_noise_sd(args)
     if claim == verify.CLAIM_PROP1:
         params = bandwidth.JacobianParams(n=args.n, p=args.p, l_max=args.lmax, lam=args.lam)
@@ -381,6 +379,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on flag errors and 0 on --help; rewrap 2 for clarity
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise _InputError("--seed must be >= 0")
         return args.func(args)
     except (_InputError, CsvFormatError, OSError) as exc:
         print(f"gkrr: input error: {exc}", file=sys.stderr)

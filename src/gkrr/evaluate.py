@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,11 +27,6 @@ from .linalg import FactorizationError, check_lambda, load_lapack
 
 AXIS_N = "n"
 AXIS_LAMBDA = "lambda"
-
-SWEEP_CSV_COLUMNS = (
-    "axis,axis_value,method,mean_r2,p05_r2,p95_r2,"
-    "mean_sigma,p05_sigma,p95_sigma,sd_sigma,excluded,repeats,seed"
-)
 
 
 def _derived_seed(*parts: int) -> int:
@@ -173,8 +168,6 @@ def run_jackknife(
     the n-1 denominator over the replicates that succeeded.
     """
     lam = check_lambda(lam)
-    if data.n < 3:
-        raise ValueError(f"jackknife harness needs n >= 3, got {data.n}")
     methods = tuple(methods)
     check_selects(methods, data.n - 1, folds, grid_size, grid_min)
     eval_grid = as_features(data.features if eval_grid is None else eval_grid)
@@ -236,6 +229,10 @@ class MethodStats:
     p95_sigma: float
     sd_sigma: float
     excluded: int
+
+
+SWEEP_CSV_COLUMNS = ("axis", "axis_value", "method", *(f.name for f in fields(MethodStats)),
+                     "repeats", "seed")
 
 
 @dataclass(frozen=True)
@@ -361,5 +358,5 @@ def sweep_to_csv(report: SweepReport) -> str:
         for pt in report.points
         for m in report.methods
     ]
-    return format_table(rows, SWEEP_CSV_COLUMNS.split(","))
+    return format_table(rows, SWEEP_CSV_COLUMNS)
 

@@ -85,12 +85,15 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray | None = None, sigma: float = 1.0
 def max_pairwise_distance(X: np.ndarray) -> float:
     """Diameter of the point set: max over pairs of ||x_i - x_j||_2.
 
-    0 for a single point or when all rows coincide. Takes the same bits as
-    sqrt(pairwise_sq_dists(X, X).max()), one block of rows at a time.
+    0 for a single point or when all rows coincide; ValueError for non-finite
+    features. Takes the same bits as sqrt(pairwise_sq_dists(X, X).max()), one
+    block of rows at a time.
     """
     X = as_features(X)
     if X.shape[0] < 1:
         raise ValueError("need at least one row")
+    if not np.isfinite(X).all():
+        raise ValueError("features contain non-finite values: the diameter is undefined")
     if X.shape[0] == 1:
         return 0.0
     aa = np.einsum("ij,ij->i", X, X)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _freeze, format_table, read_table, write_text
+from .data import Dataset, _freeze, as_features, format_table, read_table, write_text
 from .kernel import _exp_neg_scaled, _query_row, check_sigma, kernel_matrix, pairwise_sq_dists
 from .linalg import FactorizationError, _factor, check_lambda, solve
 
@@ -26,7 +26,7 @@ class KrrModel:
 
     def __post_init__(self):
         # retain private copies so the model never aliases caller-owned memory
-        X = _freeze(np.asarray(self.train_features, dtype=float))
+        X = _freeze(as_features(self.train_features))
         a = _freeze(np.asarray(self.alpha, dtype=float))
         if a.shape[0] != X.shape[0]:
             raise ValueError(f"alpha has length {a.shape[0]}, expected {X.shape[0]}")

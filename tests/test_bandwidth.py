@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import press_loo_loss
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkrr.bandwidth import (
     _CV_STACK_FLOATS,
@@ -24,6 +26,7 @@ from gkrr.bandwidth import (
 )
 from gkrr.data import Dataset, generate_synthetic, make_kfold
 from gkrr.kernel import kernel_matrix, max_pairwise_distance, pairwise_sq_dists
+from gkrr.krr import fit, predict
 from gkrr.lambertw import NEGATIVE
 from gkrr.linalg import FactorizationError, factor_spd, solve
 
@@ -288,7 +291,7 @@ class TestSelectSilverman:
 class TestSelectCv:
     def test_single_element_grid(self):
         data = generate_synthetic(20, 0.1, seed=0)
-        res = select_cv(data, 1e-3, folds=5, grid=np.array([0.3]), seed=0)
+        res = select_cv(data, 1e-3, folds=5, grid_size=1, grid_min=0.3, grid_max=0.3, seed=0)
         assert res.sigma == 0.3
         assert res.cv_curve is not None and len(res.cv_curve) == 1
 
@@ -296,7 +299,7 @@ class TestSelectCv:
         for seed in range(5):
             data = generate_synthetic(40, 0.1, seed=100 + seed)
             grid = default_cv_grid(5.0, 30)
-            res = select_cv(data, 1e-3, folds=10, grid=grid, seed=seed)
+            res = select_cv(data, 1e-3, folds=10, grid_size=30, grid_max=5.0, seed=seed)
             oracle = exhaustive_cv_oracle(data, 1e-3, 10, grid, seed)
             assert res.sigma == oracle
 
@@ -328,7 +331,22 @@ class TestSelectCv:
         # 2 sigma^2 = 0 gave a nan loss, and argmin picks the first nan
         data = Dataset(np.array([[0.0], [0.0], [1.0], [2.0], [3.0], [4.0]]), np.arange(6.0))
         with pytest.raises(ValueError, match="underflows"):
-            select_cv(data, 0.1, folds=2, grid=np.array([tiny, 0.5, 9.0]))
+            select_cv(data, 0.1, folds=2, grid_min=tiny)
+
+    @pytest.mark.parametrize("grid_max", [math.nan, math.inf, 0.005])
+    def test_grid_max_not_finite_or_below_grid_min_rejected(self, grid_max):
+        data = generate_synthetic(20, 0.1, seed=0)
+        with pytest.raises(ValueError, match="grid_max must be finite and >= grid_min"):
+            select_cv(data, 1e-3, folds=5, grid_max=grid_max)
+        with pytest.raises(ValueError, match="grid_max must be finite and >= grid_min"):
+            select_bandwidth("cv", data, 1e-3, folds=5, grid_max=grid_max)
+
+    @pytest.mark.parametrize("grid_max", [0.5, 3.0, 40.0])
+    def test_grid_max_ends_curve(self, grid_max):
+        # below, near and far above the diameter (about 10) of the sample
+        data = generate_synthetic(20, 0.1, seed=0)
+        res = select_cv(data, 1e-3, folds=5, grid_size=9, grid_max=grid_max)
+        assert res.cv_curve[0][0] == 0.01 and res.cv_curve[-1][0] == grid_max
 
     def test_curve_covers_grid(self):
         data = generate_synthetic(25, 0.1, seed=2)
@@ -349,7 +367,7 @@ class TestSelectCv:
         X = np.linspace(0.0, 3.0, 12).reshape(-1, 1)
         y = np.zeros(12)  # zero responses: every sigma interpolates with loss 0
         data = Dataset(X, y)
-        res = select_cv(data, 0.0, folds=3, grid=np.array([0.5, 1.0]), seed=0)
+        res = select_cv(data, 0.0, folds=3, grid_size=2, grid_min=0.5, grid_max=1.0, seed=0)
         # all-zero losses tie; smallest sigma wins by the documented rule
         assert res.sigma == 0.5
 
@@ -359,7 +377,7 @@ class TestSelectCv:
         X = np.arange(6.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, 0.5, 0.2, 0.1, 0.4])
         data = Dataset(X, y)
-        res = select_cv(data, 0.0, folds=3, grid=np.array([0.7, 1e4]), seed=1)
+        res = select_cv(data, 0.0, folds=3, grid_size=2, grid_min=0.7, grid_max=1e4, seed=1)
         assert res.sigma == 0.7
         assert math.isfinite(res.cv_curve[0][1])
         assert math.isinf(res.cv_curve[1][1])
@@ -558,3 +576,25 @@ class TestBandwidthResult:
         data = generate_synthetic(10, 0.1, seed=0)
         with pytest.raises(ValueError, match="unknown method"):
             select_bandwidth("magic", data, 0.0)
+
+
+class TestRowPermutation:
+    """Reordering the rows changes neither the closed-form bandwidths nor the
+    fit's predictions. CV is left out: its folds follow the row index."""
+
+    @given(st.integers(1, 3), st.integers(3, 40), st.floats(-6.0, 0.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_selectors_and_fit_ignore_row_order(self, p, n, log_lam, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-5.0, 5.0, (n, p))
+        data = Dataset(X, np.sin(X.sum(axis=1)) + rng.normal(0.0, 0.1, n))
+        shuffled = data.subset(rng.permutation(n))
+        lam = 10.0**log_lam
+        for a, b in ((select_jacobian(X, lam), select_jacobian(shuffled.features, lam)),
+                     (select_silverman(X), select_silverman(shuffled.features))):
+            assert b.sigma == pytest.approx(a.sigma, rel=1e-14, abs=0)
+        sigma = select_jacobian(X, lam).sigma
+        Q = rng.uniform(-5.0, 5.0, (20, p))
+        want = predict(fit(data, sigma, lam), Q)
+        got = predict(fit(shuffled, sigma, lam), Q)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))

@@ -305,6 +305,31 @@ def test_non_finite_grid_flag_exit_2(capsys, tmp_path, ten_point_file, cmd, flag
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n", "10"],
+    ["select", "--method", "cv"],
+    ["select", "--method", "jacobian"],
+    ["fit", "--method", "cv"],
+    ["sweep", "--axis", "n", "--values", "10", "--repeats", "2", "--test-size", "20"],
+    ["jackknife", "--methods", "jacobian,cv"],
+    ["verify", "--claim", "prop1"],
+], ids=["synth", "select-cv", "select-jacobian", "fit", "sweep", "jackknife", "verify"])
+def test_negative_seed_exit_2(capsys, tmp_path, ten_point_file, argv):
+    out_path = tmp_path / "o.csv"
+    if argv[0] in ("select", "fit", "jackknife"):
+        argv = [*argv, "--input", str(ten_point_file)]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1", "--output", str(out_path))
+    assert (code, out, err) == (2, "", "gkrr: input error: --seed must be >= 0\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("claim", ["prop1", "prop4", "bermanis"])
+@pytest.mark.parametrize("lmax", ["-1", "0", "nan", "inf"])
+def test_verify_lmax_out_of_range_exit_2(capsys, claim, lmax):
+    code, out, err = run_cli(capsys, "verify", "--claim", claim, "--lmax", lmax)
+    assert (code, out, err) == (2, "", "gkrr: input error: --lmax must be finite and > 0\n")
+
+
 class TestUnderflowingGrid:
     @pytest.fixture
     def dup_file(self, tmp_path):

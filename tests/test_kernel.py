@@ -137,6 +137,14 @@ class TestMaxPairwiseDistance:
         assert got == pytest.approx(brute, rel=1e-14)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_features_rejected(self, bad):
+        # max(best, nan) keeps best, so a nan row read as a diameter of 0 or 1
+        for X in (np.array([[0.0], [bad], [1.0]]), np.array([[0.0], [1.0], [bad]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                max_pairwise_distance(X)
+
+
 class TestKernelGradientNorm:
     def test_vanishes_at_center(self):
         assert kernel_gradient_norm(0.0, 2.0) == 0.0

@@ -239,6 +239,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match="alpha"):
             KrrModel(np.zeros((3, 1)), np.zeros(2), 1.0, 0.0)
 
+    def test_one_dimensional_features_rejected(self):
+        # read as n x 1 they constructed, and predict then raised IndexError
+        with pytest.raises(ValueError, match="features must be 2-D"):
+            KrrModel(np.zeros(3), np.zeros(3), 1.0, 0.0)
+
     @pytest.mark.parametrize("field, value, message", [
         ("train_features", [[0.0], [math.inf]], "model contains non-finite"),
         ("alpha", [1.0, math.nan], "model contains non-finite"),
