@@ -7,9 +7,9 @@ zero; the one-query kernel row behind the gradient uses x - x_i. When both
 kernel-matrix arguments are the same object, the upper triangle is mirrored
 so the result is exactly symmetric with a unit diagonal.
 
-Buffers: an (m x n) distance matrix takes two m x n buffers, the result and
-the Gram product; the kernel is built in the result's buffer, so
-``kernel_matrix`` peaks at two. The diameter holds two ``_ROW_BLOCK`` x n.
+Buffers: a full m x n distance matrix takes two m x n buffers (result and Gram
+product); a ``_sq_dist_blocks`` block takes two _ROW_BLOCK x n. The diameter and
+predict hold one block at a time, fit one block and the n x n matrix it factors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import as_features
 
-_ROW_BLOCK = 256  # rows per block of the diameter's distance rows
+_ROW_BLOCK = 256  # rows per block of a blocked distance matrix
 
 
 def check_sigma(sigma: float) -> float:
@@ -35,12 +35,23 @@ def check_sigma(sigma: float) -> float:
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    """(aa_i + bb_j) - 2 a_i.b_j, unclamped, in two len(aa) x len(bb) buffers."""
+    """(aa_i + bb_j) - 2 a_i.b_j clamped at 0, in two len(aa) x len(bb) buffers."""
     d2 = np.add.outer(aa, bb)
     G = A @ B.T
     G *= 2.0
     d2 -= G
-    return d2
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _sq_dist_blocks(A: np.ndarray, B: np.ndarray, upper: bool = False):
+    """Yield (rows, squared distances from A[rows] to B) for blocks of _ROW_BLOCK
+    rows of the checked A and B; with ``upper`` (A is B), only columns from
+    rows.start on. A caller that drops each block holds one at a time."""
+    aa = np.einsum("ij,ij->i", A, A)
+    bb = aa if upper else np.einsum("ij,ij->i", B, B)
+    for i in range(0, A.shape[0], _ROW_BLOCK):
+        rows, cols = slice(i, i + _ROW_BLOCK), slice(i if upper else 0, None)
+        yield rows, _sq_dists(A[rows], B[cols], aa[rows], bb[cols])
 
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -51,11 +62,7 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"column mismatch: A has {A.shape[1]} columns, B has {B.shape[1]}"
         )
-    aa = np.einsum("ij,ij->i", A, A)
-    bb = np.einsum("ij,ij->i", B, B)
-    d2 = _sq_dists(A, B, aa, bb)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    return _sq_dists(A, B, np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B))
 
 
 def _exp_neg_scaled(d2: np.ndarray, sigma: float) -> np.ndarray:
@@ -63,6 +70,15 @@ def _exp_neg_scaled(d2: np.ndarray, sigma: float) -> np.ndarray:
     np.negative(d2, out=d2)
     d2 /= 2.0 * sigma * sigma
     return np.exp(d2, out=d2)
+
+
+def _kernel_upper(X: np.ndarray, sigma: float) -> np.ndarray:
+    """n x n array with k(x_i, x_j), j >= i, in its upper triangle; the rest is scratch."""
+    K = np.empty((X.shape[0], X.shape[0]))
+    for rows, d2 in _sq_dist_blocks(X, X, upper=True):
+        K[rows, rows.start:] = _exp_neg_scaled(d2, sigma)
+        del d2  # free this block before the next is built
+    return K
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray | None = None, sigma: float = 1.0) -> np.ndarray:
@@ -75,10 +91,11 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray | None = None, sigma: float = 1.0
     sigma = check_sigma(sigma)
     symmetric = B is None or B is A
     A = as_features(A)
-    K = _exp_neg_scaled(pairwise_sq_dists(A, A if symmetric else B), sigma)
-    if symmetric:
-        np.copyto(K, K.T, where=np.tri(K.shape[0], k=-1, dtype=bool))
-        np.fill_diagonal(K, 1.0)
+    if not symmetric:
+        return _exp_neg_scaled(pairwise_sq_dists(A, B), sigma)
+    K = _kernel_upper(A, sigma)
+    np.copyto(K, K.T, where=np.tri(K.shape[0], k=-1, dtype=bool))
+    np.fill_diagonal(K, 1.0)
     return K
 
 
@@ -86,8 +103,8 @@ def max_pairwise_distance(X: np.ndarray) -> float:
     """Diameter of the point set: max over pairs of ||x_i - x_j||_2.
 
     0 for a single point or when all rows coincide; ValueError for non-finite
-    features. Takes the same bits as sqrt(pairwise_sq_dists(X, X).max()), one
-    block of rows at a time.
+    features. Takes the same bits as sqrt(pairwise_sq_dists(X, X).max()),
+    one block of the upper triangle at a time.
     """
     X = as_features(X)
     if X.shape[0] < 1:
@@ -96,11 +113,10 @@ def max_pairwise_distance(X: np.ndarray) -> float:
         raise ValueError("features contain non-finite values: the diameter is undefined")
     if X.shape[0] == 1:
         return 0.0
-    aa = np.einsum("ij,ij->i", X, X)
     best = 0.0
-    for i in range(0, X.shape[0], _ROW_BLOCK):
-        rows = slice(i, i + _ROW_BLOCK)
-        best = max(best, float(_sq_dists(X[rows], X, aa[rows], aa).max()))
+    for _, d2 in _sq_dist_blocks(X, X, upper=True):
+        best = max(best, float(d2.max()))
+        del d2
     return math.sqrt(best)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _freeze, as_features, format_table, read_table, write_text
-from .kernel import _exp_neg_scaled, _query_row, check_sigma, kernel_matrix, pairwise_sq_dists
+from .kernel import _exp_neg_scaled, _kernel_upper, _query_row, _sq_dist_blocks, check_sigma
 from .linalg import FactorizationError, _factor, check_lambda, solve
 
 
@@ -28,8 +28,8 @@ class KrrModel:
         # retain private copies so the model never aliases caller-owned memory
         X = _freeze(as_features(self.train_features))
         a = _freeze(np.asarray(self.alpha, dtype=float))
-        if a.shape[0] != X.shape[0]:
-            raise ValueError(f"alpha has length {a.shape[0]}, expected {X.shape[0]}")
+        if a.shape != (X.shape[0],):
+            raise ValueError(f"alpha has shape {a.shape}, expected ({X.shape[0]},)")
         if not (np.isfinite(X).all() and np.isfinite(a).all()):
             raise ValueError("model contains non-finite features or alpha")
         object.__setattr__(self, "train_features", X)
@@ -49,13 +49,11 @@ class KrrModel:
 def fit(data: Dataset, sigma: float, lam: float) -> KrrModel:
     """Solve (K + lambda*I) alpha = y on the training data.
 
-    K + lambda*I is built in the distance matrix's buffer and factored in
-    place through its F-ordered transpose, whose lower triangle (the upper
-    triangle of K, the one ``kernel_matrix`` mirrors) is all LAPACK reads; so
-    alpha has the bits of ``solve(factor_spd(kernel_matrix(X, None, sigma),
-    lambda), y)``. ``factor_spd`` is skipped: its symmetry check and copies
-    cost more than half the factorization, on a matrix symmetric by
-    construction.
+    K + lambda*I is the one n x n buffer, F-ordered: its lower triangle, all
+    LAPACK reads, is the upper triangle ``kernel_matrix`` mirrors, so alpha has
+    the bits of ``solve(factor_spd(kernel_matrix(X, None, sigma), lambda), y)``.
+    It is factored in place, its other triangle never cleared. ``factor_spd``
+    is skipped: its symmetry check and copies cost more than half the factoring.
 
     With lambda = 0 and duplicate training rows the kernel matrix is singular
     and the factorization fails; callers wanting interpolation must
@@ -63,11 +61,10 @@ def fit(data: Dataset, sigma: float, lam: float) -> KrrModel:
     """
     sigma = check_sigma(sigma)
     lam = check_lambda(lam)
-    X = data.features
-    K = _exp_neg_scaled(pairwise_sq_dists(X, X), sigma)
+    K = _kernel_upper(data.features, sigma).T
     np.fill_diagonal(K, 1.0 + lam)
     try:
-        alpha = solve(_factor(K.T, lam), data.response)
+        alpha = solve(_factor(K, lam, clean=0), data.response)
     except FactorizationError as exc:
         raise FactorizationError(
             f"{exc} (n={data.n}, sigma={sigma}: sigma may be too large relative to lambda)",
@@ -77,15 +74,17 @@ def fit(data: Dataset, sigma: float, lam: float) -> KrrModel:
 
 
 def predict(model: KrrModel, X_new: np.ndarray) -> np.ndarray:
-    """K(X_new, X_train) @ alpha; an empty input yields an empty vector."""
+    """K(X_new, X_train) @ alpha, one block of kernel rows at a time (no m x n
+    buffer); an empty input yields an empty vector."""
     X_new = np.asarray(X_new, dtype=float)
-    if X_new.ndim == 1:
-        X_new = X_new.reshape(-1, model.p)
+    X_new = as_features(X_new.reshape(-1, model.p) if X_new.ndim == 1 else X_new)
     if X_new.shape[1] != model.p:
         raise ValueError(f"X_new has {X_new.shape[1]} columns, model expects {model.p}")
-    if X_new.shape[0] == 0:
-        return np.empty(0)
-    return kernel_matrix(X_new, model.train_features, model.sigma) @ model.alpha
+    out = np.empty(X_new.shape[0])
+    for rows, d2 in _sq_dist_blocks(X_new, model.train_features):
+        out[rows] = _exp_neg_scaled(d2, model.sigma) @ model.alpha
+        del d2  # free this block before the next is built
+    return out
 
 
 def gradient(model: KrrModel, x_star: np.ndarray) -> np.ndarray:

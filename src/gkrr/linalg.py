@@ -71,10 +71,10 @@ def check_lambda(lam: float) -> float:
     return lam
 
 
-def _factor(A: np.ndarray, lam: float) -> np.ndarray:
+def _factor(A: np.ndarray, lam: float, clean: int = 1) -> np.ndarray:
     """factor_spd without checks, for A = K + lam*I symmetric by construction.
-    Reads the lower triangle; factors an F-ordered float64 A in place."""
-    c, info = load_lapack().dpotrf(A, lower=1, clean=1, overwrite_a=1)
+    Factors an F-ordered A in place from its lower triangle; clean=0 keeps the upper."""
+    c, info = load_lapack().dpotrf(A, lower=1, clean=clean, overwrite_a=1)
     if info > 0:
         raise FactorizationError(
             f"Cholesky failed at pivot {info}: K + {lam}*I is not positive "

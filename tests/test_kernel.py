@@ -103,6 +103,17 @@ class TestKernelMatrix:
         with pytest.raises(ValueError, match="column"):
             kernel_matrix(np.zeros((2, 2)), np.zeros((2, 3)), 1.0)
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    def test_symmetric_row_blocks(self, n):
+        # the symmetric path builds its upper triangle in blocks of 256 rows
+        X = np.random.default_rng(n).uniform(-5.0, 5.0, (n, 3))
+        K = kernel_matrix(X, None, 1.2)
+        assert np.array_equal(K, K.T)
+        np.testing.assert_array_equal(np.diag(K), np.ones(n))
+        d2 = pairwise_sq_dists(X, X)
+        np.fill_diagonal(d2, 0.0)  # the expanded form leaves rounding there
+        np.testing.assert_allclose(K, np.exp(-d2 / (2 * 1.2 * 1.2)), rtol=0, atol=1e-15)
+
 
 class TestMaxPairwiseDistance:
     def test_1d_points(self):
@@ -136,6 +147,15 @@ class TestMaxPairwiseDistance:
         brute = max(float(np.sqrt(((X - x) ** 2).sum(axis=1)).max()) for x in X)
         assert got == pytest.approx(brute, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 255, 257, 513])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_upper_blocks_take_the_full_matrix_bits(self, p, n):
+        # seeded CV's sigma_0 is select_jacobian's only while the diameter
+        # equals the full matrix's max exactly, though the upper blocks' Gram
+        # products round some entries differently from X @ X.T
+        for seed in range(4):
+            X = np.random.default_rng([seed, p, n]).uniform(-5.0, 5.0, (n, p))
+            assert max_pairwise_distance(X) == math.sqrt(pairwise_sq_dists(X, X).max())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_features_rejected(self, bad):
