@@ -33,7 +33,7 @@ import numpy as np
 from .data import Dataset, as_features, make_kfold
 from .kernel import check_sigma, max_pairwise_distance, pairwise_sq_dists
 from .lambertw import NEGATIVE, PRINCIPAL, lambert_w
-from .linalg import check_lambda, load_lapack
+from .linalg import FactorizationError, _factor, check_lambda, solve
 
 METHOD_JACOBIAN = "jacobian"
 METHOD_SILVERMAN = "silverman"
@@ -252,13 +252,13 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
     ``_CV_STACK_FLOATS // n^2`` sigmas (at least one) exponentiates it once,
     and each fold gathers its training and validation blocks from that stack,
     C-ordered (a strided block takes another matmul path, rounded
-    differently). LAPACK factors and solves each slice not yet at +inf,
-    unchecked: symmetric by construction; a failed factor makes +inf. The
-    validation residuals and losses of a stack then take one stacked product
-    and one row-wise mean.
+    differently). Each slice not yet at +inf is factored in place and solved
+    through ``linalg``, unchecked: symmetric by construction; a failed factor
+    makes +inf. The validation residuals and losses of a stack then take one
+    stacked product and one row-wise mean.
     """
     y, n = data.response, data.n
-    plans, lapack = make_kfold(n, folds, seed), load_lapack()
+    plans = make_kfold(n, folds, seed)
     totals, block = np.zeros(len(grid)), max(1, _CV_STACK_FLOATS // n**2)
     for start in range(0, len(grid), block):
         E = neg_d2 / (2.0 * grid[start : start + block, None, None] ** 2)
@@ -271,14 +271,11 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
             ok, y_tr = totals[stack] != math.inf, y[tr]
             alphas = np.zeros((len(E), len(tr), 1))
             for i in np.flatnonzero(ok):
-                # K[i].T is F-ordered: dpotrf overwrites it with the factor dpotrs reads
-                info = lapack.dpotrf(K[i].T, lower=1, overwrite_a=1)[1]
-                if info < 0:
-                    raise ValueError(f"invalid argument {-info} passed to dpotrf")
-                if info > 0:
+                # K[i].T is F-ordered: _factor overwrites it with the factor solve reads
+                try:
+                    alphas[i, :, 0] = solve(_factor(K[i].T, lam, clean=0), y_tr)
+                except FactorizationError:
                     ok[i] = False
-                else:
-                    alphas[i, :, 0] = lapack.dpotrs(K[i].T, y_tr, lower=1)[0]
             r = E.take((te[:, None] * n + tr).ravel(), axis=1).reshape(len(E), len(te), -1) @ alphas
             np.subtract(y[te][:, None], r, out=r)
             r *= r

@@ -53,10 +53,12 @@ def read_table(path) -> list[list[str]]:
 
 
 def as_features(X) -> np.ndarray:
-    """``X`` as a float64 array; ValueError unless it is 2-D (n x p)."""
+    """``X`` as a float64 array; ValueError unless it is 2-D (n x p) with p >= 1."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"features must be 2-D, got ndim={X.ndim}")
+    if X.shape[1] < 1:
+        raise ValueError(f"features need at least one column, got shape {X.shape}")
     return X
 
 
@@ -82,8 +84,8 @@ class Dataset:
         y = np.asarray(self.response, dtype=float)
         if y.ndim != 1:
             raise ValueError(f"response must be 1-D, got ndim={y.ndim}")
-        if X.shape[0] < 1 or X.shape[1] < 1:
-            raise ValueError(f"need at least one row and one column, got shape {X.shape}")
+        if X.shape[0] < 1:
+            raise ValueError(f"need at least one row, got shape {X.shape}")
         if X.shape[0] != y.shape[0]:
             raise ValueError(
                 f"features have {X.shape[0]} rows but response has {y.shape[0]} entries"

@@ -295,7 +295,8 @@ def run_sweep(
     With ``data=None`` each replicate draws fresh synthetic training and test
     sets (``test_size`` must then be a count). With a Dataset, each replicate
     takes a random split: ``test_size`` observations held out (a float below
-    1 is a fraction of the data), training sampled from the rest.
+    1 is a fraction of the data, one of 1 or more a whole count), training
+    sampled from the rest.
 
     Replicate seeds depend only on (seed, replicate), so a lambda sweep sees
     identical data and folds at every lambda.
@@ -320,6 +321,8 @@ def run_sweep(
     fractional = isinstance(test_size, float) and test_size < 1.0
     if fractional and data is None:
         raise ValueError("fractional test_size needs a concrete dataset")
+    if not fractional and not float(test_size).is_integer():
+        raise ValueError(f"a test_size of 1 or more must be a whole row count, got {test_size}")
     test_count = max(1, round(test_size * data.n)) if fractional else int(test_size)
     if test_count < 2:
         raise ValueError(f"test set of {test_count} row(s): R^2 needs at least 2")

@@ -7,9 +7,10 @@ zero; the one-query kernel row behind the gradient uses x - x_i. When both
 kernel-matrix arguments are the same object, the upper triangle is mirrored
 so the result is exactly symmetric with a unit diagonal.
 
-Buffers: a full m x n distance matrix takes two m x n buffers (result and Gram
-product); a ``_sq_dist_blocks`` block takes two _ROW_BLOCK x n. The diameter and
-predict hold one block at a time, fit one block and the n x n matrix it factors.
+Buffers: ``pairwise_sq_dists`` of m x n takes two m x n buffers (result and
+Gram product). ``_sq_dist_blocks`` calls it on _ROW_BLOCK rows at a time, so a
+block takes two _ROW_BLOCK x n. The diameter and predict hold one block at a
+time, fit one block and the n x n matrix it factors.
 """
 
 from __future__ import annotations
@@ -34,9 +35,16 @@ def check_sigma(sigma: float) -> float:
     return sigma
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    """(aa_i + bb_j) - 2 a_i.b_j clamped at 0, in two len(aa) x len(bb) buffers."""
-    d2 = np.add.outer(aa, bb)
+def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between rows of A (m x p) and B (n x p):
+    (||a_i||^2 + ||b_j||^2) - 2 a_i.b_j clamped at 0, in two m x n buffers."""
+    A = as_features(A)
+    B = as_features(B)
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(
+            f"column mismatch: A has {A.shape[1]} columns, B has {B.shape[1]}"
+        )
+    d2 = np.add.outer(np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B))
     G = A @ B.T
     G *= 2.0
     d2 -= G
@@ -44,25 +52,12 @@ def _sq_dists(A: np.ndarray, B: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> n
 
 
 def _sq_dist_blocks(A: np.ndarray, B: np.ndarray, upper: bool = False):
-    """Yield (rows, squared distances from A[rows] to B) for blocks of _ROW_BLOCK
-    rows of the checked A and B; with ``upper`` (A is B), only columns from
-    rows.start on. A caller that drops each block holds one at a time."""
-    aa = np.einsum("ij,ij->i", A, A)
-    bb = aa if upper else np.einsum("ij,ij->i", B, B)
+    """Yield (rows, pairwise_sq_dists(A[rows], B)) for blocks of _ROW_BLOCK rows
+    of A; with ``upper`` (A is B), only columns from rows.start on. A caller
+    that drops each block holds one at a time."""
     for i in range(0, A.shape[0], _ROW_BLOCK):
-        rows, cols = slice(i, i + _ROW_BLOCK), slice(i if upper else 0, None)
-        yield rows, _sq_dists(A[rows], B[cols], aa[rows], bb[cols])
-
-
-def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of A (m x p) and B (n x p)."""
-    A = as_features(A)
-    B = as_features(B)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(
-            f"column mismatch: A has {A.shape[1]} columns, B has {B.shape[1]}"
-        )
-    return _sq_dists(A, B, np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B))
+        rows = slice(i, i + _ROW_BLOCK)
+        yield rows, pairwise_sq_dists(A[rows], B[i if upper else 0 :])
 
 
 def _exp_neg_scaled(d2: np.ndarray, sigma: float) -> np.ndarray:

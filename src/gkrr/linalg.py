@@ -8,7 +8,8 @@ LAPACK's ``dpotrf`` (for its failing pivot) and ``dpotrs`` come from
 ``scipy.linalg.lapack``, imported on the first factorization or solve rather
 than with this module: the import takes about a quarter of a second, three
 times numpy's, and ``synth``, closed-form selection and ``predict`` never
-factor.
+factor. ``fit`` and CV factor and solve through ``_factor`` and ``solve``, so
+this module alone reads LAPACK's ``info`` codes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ _lapack = None  # scipy.linalg.lapack once load_lapack() has run
 
 def load_lapack():
     """scipy.linalg.lapack, imported on the first call and kept in a global:
-    each factor and solve calls this, and each CV select once."""
+    each factor and solve calls this."""
     global _lapack
     if _lapack is None:
         from scipy.linalg import lapack as _lapack

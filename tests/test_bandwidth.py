@@ -504,10 +504,20 @@ class TestCvLossesExact:
     def test_one_factor_and_solve_per_live_slice(self, monkeypatch):
         # dpotrf decides every +inf: each (sigma, fold) not yet failed is
         # factored once, and each factor that succeeds is solved once
-        import gkrr.bandwidth as bw
+        import gkrr.linalg as la
 
+        data, grid = self.NEAR_PAIR, self.NEAR_PAIR_GRID
+        live = failed = 0  # per sigma, the folds up to and including its first failure
+        for sigma in grid:
+            for plan in make_kfold(12, 3, 4):
+                live += 1
+                try:
+                    factor_spd(kernel_matrix(data.features[plan.train_indices], None, sigma))
+                except FactorizationError:
+                    failed += 1
+                    break
         calls = []
-        lapack = bw.load_lapack()
+        lapack = la.load_lapack()
 
         class CountingLapack:
             def dpotrf(self, *args, **kwargs):
@@ -521,18 +531,8 @@ class TestCvLossesExact:
                 calls.append("solve")
                 return lapack.dpotrs(*args, **kwargs)
 
-        monkeypatch.setattr(bw, "load_lapack", CountingLapack)
-        data, grid = self.NEAR_PAIR, self.NEAR_PAIR_GRID
+        monkeypatch.setattr(la, "load_lapack", CountingLapack)
         _cv_mean_losses(data, -pairwise_sq_dists(data.features, data.features), 0.0, 3, grid, 4)
-        live = failed = 0  # per sigma, the folds up to and including its first failure
-        for sigma in grid:
-            for plan in make_kfold(12, 3, 4):
-                live += 1
-                try:
-                    factor_spd(kernel_matrix(data.features[plan.train_indices], None, sigma))
-                except FactorizationError:
-                    failed += 1
-                    break
         assert (live, failed) == (12, 3)  # sigmas 0.2-0.8 fail in fold 1 and skip fold 2
         assert calls.count("factor") == live
         assert calls.count("factored") == calls.count("solve") == live - failed

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from gkrr.data import (
     write_csv,
 )
 from gkrr.bandwidth import select_jacobian, select_silverman
+from gkrr.cli import main
 from gkrr.kernel import gradient_one_norm_bound, kernel_matrix, max_pairwise_distance, pairwise_sq_dists
 from gkrr.verify import check_bermanis_count, check_prop4
 
@@ -63,6 +66,21 @@ def test_one_d_features_rejected(call):
     # ten 1-D values are ten points or one point; neither is guessed
     with pytest.raises(ValueError, match="features must be 2-D, got ndim=1"):
         call(np.linspace(0.0, 9.0, 10))
+
+
+@pytest.mark.parametrize("entry", ["select_jacobian", "select_silverman", "verify bermanis"])
+def test_zero_feature_columns_rejected(entry, capsys):
+    # no columns once read as "all rows identical: l_max = 0" (jacobian,
+    # verify) or as sigma = nan (silverman)
+    message = "features need at least one column, got shape (10, 0)"
+    if entry == "verify bermanis":
+        assert main(["verify", "--claim", "bermanis", "--n", "10", "--p", "0"]) == 3
+        assert message in capsys.readouterr().err
+    else:
+        select = {"select_jacobian": lambda x: select_jacobian(x, 1e-3),
+                  "select_silverman": select_silverman}[entry]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            select(np.zeros((10, 0)))
 
 
 class TestLoadCsv:

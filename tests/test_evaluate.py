@@ -396,6 +396,19 @@ class TestRunSweep:
             run_sweep(AXIS_N, [12, value], fixed_lambda=1e-3, repeats=2, test_size=20,
                       methods=("jacobian",))
 
+    @pytest.mark.parametrize("data", [None, generate_synthetic(200, 0.1, seed=4)],
+                             ids=["synthetic", "split"])
+    def test_non_whole_test_count_rejected(self, data):
+        # 20.7 was read as 20 test rows; the CLI's --test-size rejects it too
+        with pytest.raises(ValueError, match="whole row count, got 20.7"):
+            run_sweep(AXIS_N, [10], data=data, fixed_lambda=1e-3, repeats=2,
+                      test_size=20.7, methods=("jacobian",))
+
+    def test_whole_float_test_count_accepted(self):
+        kw = dict(fixed_lambda=1e-3, repeats=2, methods=("jacobian",), seed=5)
+        assert (sweep_to_csv(run_sweep(AXIS_N, [10], test_size=1000.0, **kw))
+                == sweep_to_csv(run_sweep(AXIS_N, [10], test_size=1000, **kw)))
+
     def test_lambda_axis_ignores_fixed_lambda(self):
         kw = dict(fixed_n=10, repeats=2, test_size=20, methods=("jacobian",), seed=3)
         a = run_sweep(AXIS_LAMBDA, [1e-3], **kw)

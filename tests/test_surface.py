@@ -6,21 +6,27 @@ them would break the benchmark's traced mode without failing any other test.
 Every file gkrr writes or reads goes through ``gkrr.data``, so the table
 format is decided in one module. Feature matrices are checked by
 ``data.as_features`` alone, and log-spaced bandwidth grids are built in
-``bandwidth`` alone. scipy and the process pool load only when used: on the
-first factorization (before a pool forks, so workers inherit it) and on the
-first run on more than one worker.
+``bandwidth`` alone. Squared distances, blocked ones included, come from
+``kernel.pairwise_sq_dists`` alone, so the tracer's count of it sees every
+block; LAPACK's ``dpotrf`` and ``dpotrs`` are called from ``linalg`` alone, the
+one module that reads their ``info`` codes. scipy and the process pool load
+only when used: on the first factorization (before a pool forks, so workers
+inherit it) and on the first run on more than one worker.
 """
 
 import importlib
 import importlib.util
 import json
+import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gkrr
@@ -77,6 +83,33 @@ def test_only_bandwidth_builds_log_grids():
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "bandwidth.py" and "geomspace" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_distance_blocks_go_through_pairwise_sq_dists(monkeypatch):
+    # the diameter, fit and predict take each 256-row block from it, so the
+    # tracer's kernel.pairwise_sq_dists counts their distance work
+    from gkrr import kernel
+
+    calls = []
+    real = kernel.pairwise_sq_dists
+    monkeypatch.setattr(kernel, "pairwise_sq_dists", lambda A, B: calls.append(1) or real(A, B))
+    data = gkrr.generate_synthetic(600, 0.1, seed=2)
+    gkrr.select_jacobian(data.features, 1e-3)
+    diameter = len(calls)
+    model = gkrr.fit(data, 0.5, 1e-3)
+    fit = len(calls) - diameter
+    gkrr.predict(model, np.linspace(-5.0, 5.0, 700).reshape(-1, 1))
+    predict = len(calls) - diameter - fit
+    assert (diameter, fit, predict) == (math.ceil(600 / 256), math.ceil(600 / 256), math.ceil(700 / 256))
+
+
+def test_only_linalg_calls_lapack_cholesky():
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py" and re.search(r"\bdpotr[fs]\(", path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
 
