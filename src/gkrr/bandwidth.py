@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, as_features, make_kfold
-from .kernel import check_sigma, max_pairwise_distance, pairwise_sq_dists
+from .kernel import _exp, check_sigma, max_pairwise_distance, pairwise_sq_dists
 from .lambertw import NEGATIVE, PRINCIPAL, lambert_w
-from .linalg import FactorizationError, _factor, check_lambda, solve
+from .linalg import FactorizationError, _factor_solve, check_lambda
 
 METHOD_JACOBIAN = "jacobian"
 METHOD_SILVERMAN = "silverman"
@@ -44,9 +44,10 @@ METHODS = (METHOD_JACOBIAN, METHOD_SILVERMAN, METHOD_CV, METHOD_SEEDED_CV)
 DEFAULT_GRID_MIN = 0.01
 DEFAULT_GRID_SIZE = 100
 DEFAULT_FOLDS = 10
-# per CV kernel stack (128 KB) of n x n kernels, exponentiated once and gathered
-# fold by fold: one sigma per stack once n > 128
-_CV_STACK_FLOATS = 2**14
+# per CV kernel stack (2 MB) of n x n kernels, exponentiated once and gathered
+# fold by fold: the whole 100-point grid while n <= 51, one sigma per stack
+# once n > 362
+_CV_STACK_FLOATS = 2**18
 
 
 class Regime(enum.Enum):
@@ -253,16 +254,19 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
     and each fold gathers its training and validation blocks from that stack,
     C-ordered (a strided block takes another matmul path, rounded
     differently). Each slice not yet at +inf is factored in place and solved
-    through ``linalg``, unchecked: symmetric by construction; a failed factor
-    makes +inf. The validation residuals and losses of a stack then take one
-    stacked product and one row-wise mean.
+    by one unchecked ``linalg._factor_solve`` (``dposv``): symmetric by
+    construction; a failed factor makes +inf. The validation residuals and
+    losses of a stack then take one stacked product and one row-wise mean.
+
+    Memory: a stack holds at most _CV_STACK_FLOATS floats (2 MB) or one
+    sigma's n x n kernels, whichever is larger, and one fold's gathered
+    blocks take up to about as much again.
     """
     y, n = data.response, data.n
     plans = make_kfold(n, folds, seed)
     totals, block = np.zeros(len(grid)), max(1, _CV_STACK_FLOATS // n**2)
     for start in range(0, len(grid), block):
-        E = neg_d2 / (2.0 * grid[start : start + block, None, None] ** 2)
-        E = np.exp(E, out=E).reshape(len(E), -1)
+        E = _exp(neg_d2 / (2.0 * grid[start : start + block, None, None] ** 2)).reshape(-1, n * n)
         stack = slice(start, start + len(E))
         for plan in plans:
             tr, te = plan.train_indices, plan.test_indices
@@ -271,9 +275,9 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
             ok, y_tr = totals[stack] != math.inf, y[tr]
             alphas = np.zeros((len(E), len(tr), 1))
             for i in np.flatnonzero(ok):
-                # K[i].T is F-ordered: _factor overwrites it with the factor solve reads
+                # K[i].T is F-ordered: dposv factors it in place
                 try:
-                    alphas[i, :, 0] = solve(_factor(K[i].T, lam, clean=0), y_tr)
+                    alphas[i, :, 0] = _factor_solve(K[i].T, y_tr, lam)
                 except FactorizationError:
                     ok[i] = False
             r = E.take((te[:, None] * n + tr).ravel(), axis=1).reshape(len(E), len(te), -1) @ alphas

@@ -221,6 +221,9 @@ def _verify_points(args) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     claim = _CLAIM_FLAGS[args.claim]
+    for flag, count in (("--n", args.n), ("--p", args.p), ("--trials", args.trials)):
+        if count < 1:
+            raise _InputError(f"{flag} must be >= 1")
     sigma = _sigma_flag(args)
     if not 0.0 < args.lmax < math.inf:
         raise _InputError("--lmax must be finite and > 0")

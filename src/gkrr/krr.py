@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset, _freeze, as_features, format_table, read_table, write_text
 from .kernel import _exp_neg_scaled, _kernel_upper, _query_row, _sq_dist_blocks, check_sigma
-from .linalg import FactorizationError, _factor, check_lambda, solve
+from .linalg import FactorizationError, _factor_solve, check_lambda
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,9 @@ def fit(data: Dataset, sigma: float, lam: float) -> KrrModel:
     K + lambda*I is the one n x n buffer, F-ordered: its lower triangle, all
     LAPACK reads, is the upper triangle ``kernel_matrix`` mirrors, so alpha has
     the bits of ``solve(factor_spd(kernel_matrix(X, None, sigma), lambda), y)``.
-    It is factored in place, its other triangle never cleared. ``factor_spd``
-    is skipped: its symmetry check and copies cost more than half the factoring.
+    One ``dposv`` factors it in place and solves; its other triangle is never
+    read. ``factor_spd`` is skipped: its symmetry check and copies cost more
+    than half the factoring.
 
     With lambda = 0 and duplicate training rows the kernel matrix is singular
     and the factorization fails; callers wanting interpolation must
@@ -64,7 +65,7 @@ def fit(data: Dataset, sigma: float, lam: float) -> KrrModel:
     K = _kernel_upper(data.features, sigma).T
     np.fill_diagonal(K, 1.0 + lam)
     try:
-        alpha = solve(_factor(K, lam, clean=0), data.response)
+        alpha = _factor_solve(K, data.response, lam)
     except FactorizationError as exc:
         raise FactorizationError(
             f"{exc} (n={data.n}, sigma={sigma}: sigma may be too large relative to lambda)",

@@ -4,12 +4,16 @@ Sized for dense problems (n up to a few thousand for solves, n <= 500 for
 eigenvalue extraction, which exists for bound verification rather than
 production paths). Cholesky factors are returned read-only.
 
-LAPACK's ``dpotrf`` (for its failing pivot) and ``dpotrs`` come from
-``scipy.linalg.lapack``, imported on the first factorization or solve rather
-than with this module: the import takes about a quarter of a second, three
-times numpy's, and ``synth``, closed-form selection and ``predict`` never
-factor. ``fit`` and CV factor and solve through ``_factor`` and ``solve``, so
-this module alone reads LAPACK's ``info`` codes.
+LAPACK's ``dpotrf`` (for its failing pivot), ``dpotrs`` and ``dposv`` come
+from ``scipy.linalg.lapack``, imported on the first factorization or solve
+rather than with this module: the import takes about a quarter of a second,
+three times numpy's, and ``synth``, closed-form selection and ``predict`` never
+factor. ``fit`` and CV factor and solve each system with one unchecked
+``dposv`` (``_factor_solve``): the same ``dpotrf`` then ``dpotrs`` in one call,
+so the solution, and the pivot a failure reports, are those of
+``solve(factor_spd(...))``. ``factor_spd`` and ``solve`` stay for callers
+that factor their own matrices, the acceptance gate's C12 oracle among them.
+This module alone reads LAPACK's ``info`` codes.
 """
 
 from __future__ import annotations
@@ -61,7 +65,10 @@ def factor_spd(K: np.ndarray, lam: float = 0.0) -> np.ndarray:
     """
     K = _check_square_symmetric(K, "K")
     lam = check_lambda(lam)
-    return _factor(K + lam * np.eye(K.shape[0]), lam)
+    c, info = load_lapack().dpotrf(K + lam * np.eye(K.shape[0]), lower=1, overwrite_a=1)
+    _check_info(info, lam, "dpotrf")
+    c.setflags(write=False)
+    return c
 
 
 def check_lambda(lam: float) -> float:
@@ -72,10 +79,8 @@ def check_lambda(lam: float) -> float:
     return lam
 
 
-def _factor(A: np.ndarray, lam: float, clean: int = 1) -> np.ndarray:
-    """factor_spd without checks, for A = K + lam*I symmetric by construction.
-    Factors an F-ordered A in place from its lower triangle; clean=0 keeps the upper."""
-    c, info = load_lapack().dpotrf(A, lower=1, clean=clean, overwrite_a=1)
+def _check_info(info: int, lam: float, routine: str) -> None:
+    """FactorizationError for a failed pivot, ValueError for a bad argument."""
     if info > 0:
         raise FactorizationError(
             f"Cholesky failed at pivot {info}: K + {lam}*I is not positive "
@@ -83,9 +88,15 @@ def _factor(A: np.ndarray, lam: float, clean: int = 1) -> np.ndarray:
             pivot=int(info),
         )
     if info < 0:
-        raise ValueError(f"invalid argument {-info} passed to dpotrf")
-    c.setflags(write=False)
-    return c
+        raise ValueError(f"invalid argument {-info} passed to {routine}")
+
+
+def _factor_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """Solve A x = b for A = K + lam*I, symmetric by construction, unchecked.
+    Factors an F-ordered A in place from its lower triangle; the upper is never read."""
+    _, x, info = load_lapack().dposv(A, b, lower=1, overwrite_a=1)
+    _check_info(info, lam, "dposv")
+    return x
 
 
 def solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:

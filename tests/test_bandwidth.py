@@ -6,6 +6,7 @@ from conftest import press_loo_loss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkrr import bandwidth
 from gkrr.bandwidth import (
     _CV_STACK_FLOATS,
     BandwidthResult,
@@ -408,15 +409,21 @@ class TestCvLossesExact:
     Both see the same distances for p=1 (one product per entry), so the
     curves are bit-identical; for p=3 the full-data distance matrix rounds
     its dot products differently from per-fold ones, in the last bits.
-    Each stack exponentiates the full n x n distances, so the 37-point grid
-    splits into stacks of 10, 10, 10 and 7 sigmas at n=40; n=200 takes one
-    sigma per stack.
+    Each stack exponentiates the full n x n distances. With a budget of 2**14
+    floats the 37-point grid splits into stacks of 10, 10, 10 and 7 sigmas at
+    n=40, and n=200 takes one sigma per stack; the default budget takes the
+    whole grid as one stack at n=40 and stacks of 6 at n=200.
     """
 
     @pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0])
     @pytest.mark.parametrize("p", [1, 3])
-    def test_matches_reference_loop(self, p, lam):
-        assert _CV_STACK_FLOATS // 40**2 == 10 and _CV_STACK_FLOATS // 200**2 == 0
+    def test_matches_reference_loop(self, monkeypatch, p, lam):
+        for budget, per_stack in ((2**14, [10, 0]), (_CV_STACK_FLOATS, [163, 6])):
+            assert [budget // n**2 for n in (40, 200)] == per_stack
+            monkeypatch.setattr(bandwidth, "_CV_STACK_FLOATS", budget)
+            self._check_reference_loop(p, lam)
+
+    def _check_reference_loop(self, p, lam):
         partial = 0
         for n, seed in ((12, 0), (25, 1), (40, 2), (200, 3)):
             rng = np.random.default_rng(seed)
@@ -503,7 +510,7 @@ class TestCvLossesExact:
 
     def test_one_factor_and_solve_per_live_slice(self, monkeypatch):
         # dpotrf decides every +inf: each (sigma, fold) not yet failed is
-        # factored once, and each factor that succeeds is solved once
+        # factored and solved by one dposv, whose info is 0 unless the factor fails
         import gkrr.linalg as la
 
         data, grid = self.NEAR_PAIR, self.NEAR_PAIR_GRID
@@ -520,23 +527,19 @@ class TestCvLossesExact:
         lapack = la.load_lapack()
 
         class CountingLapack:
-            def dpotrf(self, *args, **kwargs):
-                calls.append("factor")
-                c, info = lapack.dpotrf(*args, **kwargs)
-                if info == 0:
-                    calls.append("factored")
-                return c, info
+            def dposv(self, *args, **kwargs):
+                c, x, info = lapack.dposv(*args, **kwargs)
+                calls.append(info)
+                return c, x, info
 
-            def dpotrs(self, *args, **kwargs):
-                calls.append("solve")
-                return lapack.dpotrs(*args, **kwargs)
+            def __getattr__(self, name):
+                raise AssertionError(f"CV called {name}, not dposv")
 
         monkeypatch.setattr(la, "load_lapack", CountingLapack)
         _cv_mean_losses(data, -pairwise_sq_dists(data.features, data.features), 0.0, 3, grid, 4)
         assert (live, failed) == (12, 3)  # sigmas 0.2-0.8 fail in fold 1 and skip fold 2
-        assert calls.count("factor") == live
-        assert calls.count("factored") == calls.count("solve") == live - failed
-        assert all(calls[i + 1] == "solve" for i, c in enumerate(calls) if c == "factored")
+        assert len(calls) == live
+        assert calls.count(0) == live - failed
 
 
 class TestSelectSeededCv:

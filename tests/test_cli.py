@@ -794,6 +794,21 @@ class TestVerify:
         assert "worst_margin=" in out
 
 
+    @pytest.mark.parametrize("claim, flag, value", [
+        ("bermanis", "--p", "-1"), ("bermanis", "--p", "0"), ("prop4", "--n", "-2"),
+        ("prop4", "--n", "0"), ("prop1", "--p", "0"), ("prop2", "--trials", "0"),
+        ("prop2", "--trials", "-3"),
+    ])
+    def test_counts_below_one_exit_2(self, capsys, tmp_path, claim, flag, value):
+        # a flag error, not the library's text (numpy's "negative dimensions
+        # are not allowed" for --p -1) and exit 3
+        out_path = tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, "verify", "--claim", claim, flag, value,
+                                 "--output", str(out_path))
+        assert (code, out) == (2, "")
+        assert f"{flag} must be >= 1" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("claim", ["prop3", "prop4"])
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf", "1e-300"])
     def test_invalid_sigma_exit_2(self, capsys, claim, sigma):

@@ -71,11 +71,14 @@ def test_one_d_features_rejected(call):
 @pytest.mark.parametrize("entry", ["select_jacobian", "select_silverman", "verify bermanis"])
 def test_zero_feature_columns_rejected(entry, capsys):
     # no columns once read as "all rows identical: l_max = 0" (jacobian,
-    # verify) or as sigma = nan (silverman)
+    # verify) or as sigma = nan (silverman); the verify command stops at its
+    # --p flag before it builds any points
     message = "features need at least one column, got shape (10, 0)"
     if entry == "verify bermanis":
-        assert main(["verify", "--claim", "bermanis", "--n", "10", "--p", "0"]) == 3
-        assert message in capsys.readouterr().err
+        assert main(["verify", "--claim", "bermanis", "--n", "10", "--p", "0"]) == 2
+        assert "--p must be >= 1" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_bermanis_count(np.zeros((10, 0)), 1.0, 0.5)
     else:
         select = {"select_jacobian": lambda x: select_jacobian(x, 1e-3),
                   "select_silverman": select_silverman}[entry]

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkrr.kernel import (
+    _exp,
     gradient_one_norm_bound,
     kernel_gradient_norm,
     kernel_matrix,
@@ -113,6 +114,34 @@ class TestKernelMatrix:
         d2 = pairwise_sq_dists(X, X)
         np.fill_diagonal(d2, 0.0)  # the expanded form leaves rounding there
         np.testing.assert_allclose(K, np.exp(-d2 / (2 * 1.2 * 1.2)), rtol=0, atol=1e-15)
+
+
+# np.exp is exactly 0 below -745.1332191019412, subnormal down from -708.4
+NORMAL = st.floats(-708.39, 700.0)
+SUBNORMAL = st.floats(-745.1332191019412, -708.4)
+UNDERFLOW = st.one_of(st.floats(-1e300, -745.1332191019413), st.just(-np.inf))
+# np.exp's last nonzero argument, its first zero one, and either side of _exp's cut-off
+EDGES = st.sampled_from([-745.1332191019411, -745.1332191019412, -745.1332194, -745.1332195])
+
+
+class TestExp:
+    @given(st.lists(st.one_of(NORMAL, SUBNORMAL, UNDERFLOW, EDGES, st.just(np.nan)), max_size=300))
+    @example([-800.0] * 40)
+    @example([-3.0] * 40)
+    @example([])
+    @example([-800.0, -3.0, -720.0, np.nan, -np.inf] * 30)
+    @example([-3.0] + [-800.0] * 70)
+    @example([-800.0, -745.1332191019411, -745.1332191019412, -745.1332194, -745.1332195])
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_np_exp(self, values):
+        # the entries _exp zeroes itself, and the ones it exponentiates, take
+        # np.exp's bits, whether none, some or all of them underflow, and
+        # whether or not the sampled entries (0, 64, 128, ...) show it
+        x = np.array(values, dtype=float)
+        ref = np.exp(x)
+        got = _exp(x)
+        assert got is x
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 class TestMaxPairwiseDistance:

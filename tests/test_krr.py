@@ -111,6 +111,12 @@ class TestPeakMemory:
         data, _ = problem
         assert _peak_bytes(lambda: fit(data, 0.5, 1e-3)) < 1.6 * self.n**2 * 8
 
+    def test_symmetric_kernel_matrix_below_1_4_buffers(self, problem):
+        # the result plus a distance block or one row block's mirrored strip;
+        # mirroring through the whole of K.T and an n x n mask took 2.125
+        data, _ = problem
+        assert _peak_bytes(lambda: kernel_matrix(data.features, None, 0.5)) < 1.4 * self.n**2 * 8
+
     def test_predict_below_1_2_buffers(self, problem):
         data, Q = problem
         model = fit(data, 0.5, 1e-3)

@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import jacobi_eigenvalues
 
+import gkrr
 from gkrr.kernel import kernel_matrix
-from gkrr.linalg import FactorizationError, factor_spd, singular_extremes, solve
+from gkrr.linalg import FactorizationError, _factor_solve, factor_spd, singular_extremes, solve
 
 
 def gaussian_elimination_solve(A, b):
@@ -102,6 +106,46 @@ class TestSolve:
         s = factor_spd(np.eye(3), 0.0)
         with pytest.raises(ValueError, match="length"):
             solve(s, np.zeros(4))
+
+
+class TestFactorSolve:
+    """The one dposv behind fit and CV against the public factor-then-solve."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-12, 1e-8, 1e-3])
+    def test_same_bits_as_solve_of_factor_spd(self, lam):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            n = int(rng.integers(1, 60))
+            X = rng.uniform(-5.0, 5.0, (n, int(rng.integers(1, 4))))
+            K, b = kernel_matrix(X, None, float(rng.uniform(0.05, 3.0))), rng.normal(size=n)
+            A = K + lam * np.eye(n)
+            try:
+                ref = solve(factor_spd(K, lam), b)
+            except FactorizationError as exc:
+                with pytest.raises(FactorizationError) as got:
+                    _factor_solve(np.asfortranarray(A), b, lam)
+                assert got.value.pivot == exc.pivot
+            else:
+                got = _factor_solve(np.asfortranarray(A), b, lam)
+                np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_singular_matrix_reports_the_same_pivot(self):
+        X = np.array([[0.0], [1.0], [1.0], [2.0]])  # rows 1 and 2 coincide
+        K = kernel_matrix(X, None, 1.0)
+        with pytest.raises(FactorizationError) as ref:
+            factor_spd(K, 0.0)
+        with pytest.raises(FactorizationError) as got:
+            _factor_solve(np.asfortranarray(K), np.ones(4), 0.0)
+        assert got.value.pivot == ref.value.pivot == 3
+        assert str(got.value) == str(ref.value)
+
+
+def test_only_linalg_calls_dposv():
+    # fit and CV reach LAPACK through linalg._factor_solve, which reads dposv's info
+    package = Path(gkrr.__file__).resolve().parent
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "linalg.py" and re.search(r"\bdposv\(", path.read_text(encoding="utf-8"))]
+    assert offenders == []
 
 
 class TestSingularExtremes:
