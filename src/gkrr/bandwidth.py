@@ -234,11 +234,7 @@ def select_silverman(X: np.ndarray) -> BandwidthResult:
 
 
 def default_cv_grid(l_max: float, size: int = DEFAULT_GRID_SIZE, lo: float = DEFAULT_GRID_MIN) -> np.ndarray:
-    """``size`` log-spaced bandwidths between ``lo`` and l_max (sorted)."""
-    if size < 1:
-        raise ValueError(f"grid size must be >= 1, got {size}")
-    if lo <= 0 or l_max <= 0:
-        raise ValueError("grid bounds must be positive")
+    """``size`` (>= 1) log-spaced bandwidths between ``lo`` and l_max, both > 0 (sorted)."""
     if size == 1:
         return np.array([math.sqrt(lo * l_max)])
     return np.sort(np.geomspace(lo, l_max, size))

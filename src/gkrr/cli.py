@@ -18,7 +18,6 @@ import numpy as np
 from . import bandwidth, evaluate, krr, verify
 from .data import CsvFormatError, Dataset, _fmt, format_table, generate_synthetic, load_csv
 from .data import read_rows, write_csv, write_text
-from .kernel import check_sigma
 from .linalg import FactorizationError
 
 
@@ -34,54 +33,76 @@ def _parse_values(text: str) -> list[float]:
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    for m in methods:
-        if m not in bandwidth.METHODS:
-            raise _InputError(f"unknown method {m!r}; choose from {bandwidth.METHODS}")
-    if not methods:
-        raise _InputError("empty --methods list")
-    return methods
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def _parse_test_size(text: str):
+def _parse_test_size(text: str) -> float:
     try:
-        v = float(text)
+        return float(text)
     except ValueError:
         raise _InputError(f"cannot parse --test-size {text!r}") from None
-    if not 0 < v < math.inf:
-        raise _InputError("--test-size must be finite and positive")
-    if v >= 1.0 and not v.is_integer():
-        raise _InputError(f"--test-size of 1 or more must be a whole row count, got {text!r}")
-    return v if v < 1.0 else int(v)
 
 
-def _sigma_flag(args) -> float | None:
-    """--sigma as given (None when absent); a flag error unless ``check_sigma`` passes."""
-    if args.sigma is not None:
-        try:
-            check_sigma(args.sigma)
-        except ValueError as exc:
-            raise _InputError(f"--sigma: {exc}") from None
-    return args.sigma
+def _unknown_methods(args) -> list[str]:
+    return [m for m in _parse_methods(args.methods) if m not in bandwidth.METHODS]
 
 
-def _check_finite(flag: str, value: float | None) -> None:
-    """A flag error for a given but non-finite float flag (--grid-min, --grid-max)."""
-    if value is not None and not math.isfinite(value):
-        raise _InputError(f"{flag} must be finite, got {value}")
+# Every flag check, as (commands, flag, ok(args), message): the message is a str
+# or, where it quotes a value, a function of args. main applies the rules in
+# order before a command runs or reads a file; the first that fails is exit 2.
+_FLAG_RULES = (
+    (("select", "fit", "synth", "sweep", "jackknife", "verify"), "--seed",
+     lambda a: a.seed >= 0, "--seed must be >= 0"),
+    (("synth", "verify"), "--n", lambda a: a.n >= 1, "--n must be >= 1"),
+    (("verify",), "--p", lambda a: a.p >= 1, "--p must be >= 1"),
+    (("verify",), "--trials", lambda a: a.trials >= 1, "--trials must be >= 1"),
+    (("fit", "verify"), "--sigma", lambda a: a.sigma is None or 0.0 < a.sigma < math.inf,
+     lambda a: f"--sigma: sigma must be finite and > 0, got {a.sigma}"),
+    (("fit", "verify"), "--sigma", lambda a: a.sigma is None or 2.0 * a.sigma * a.sigma > 0.0,
+     lambda a: f"--sigma: sigma={a.sigma} is too small: 2*sigma^2 underflows to 0"),
+    (("verify",), "--lmax", lambda a: 0.0 < a.lmax < math.inf, "--lmax must be finite and > 0"),
+    (("verify",), "--delta", lambda a: 0.0 < a.delta < 1.0, "--delta must be in (0, 1)"),
+    (("synth", "sweep", "verify"), "--noise-sd", lambda a: 0.0 <= a.noise_sd < math.inf,
+     "--noise-sd must be finite and >= 0"),
+    (("sweep", "jackknife"), "--threads", lambda a: a.threads >= 1, "--threads must be >= 1"),
+    (("sweep",), "--repeats", lambda a: a.repeats >= 2, "--repeats must be >= 2"),
+    (("jackknife",), "--holdout", lambda a: 0.0 <= a.holdout < 1.0, "--holdout must be in [0, 1)"),
+    (("jackknife",), "--eval-points", lambda a: a.eval_points >= 1, "--eval-points must be >= 1"),
+    (("select", "fit", "sweep", "jackknife"), "--grid-min", lambda a: math.isfinite(a.grid_min),
+     lambda a: f"--grid-min must be finite, got {a.grid_min}"),
+    (("select", "fit"), "--grid-max", lambda a: a.grid_max is None or math.isfinite(a.grid_max),
+     lambda a: f"--grid-max must be finite, got {a.grid_max}"),
+    (("select", "fit"), "--grid-max", lambda a: a.grid_max is None or a.grid_max > a.grid_min,
+     "--grid-max must exceed --grid-min"),
+    (("sweep",), "--values", lambda a: _parse_values(a.values), "--values is empty"),
+    (("sweep",), "--values",
+     lambda a: a.axis != evaluate.AXIS_N or all(v.is_integer() for v in _parse_values(a.values)),
+     lambda a: f"n-axis --values must be whole numbers, got {a.values!r}"),
+    (("sweep", "jackknife"), "--methods", lambda a: not _unknown_methods(a),
+     lambda a: f"unknown method {_unknown_methods(a)[0]!r}; choose from {bandwidth.METHODS}"),
+    (("sweep", "jackknife"), "--methods", lambda a: _parse_methods(a.methods),
+     "empty --methods list"),
+    (("sweep",), "--test-size", lambda a: 0.0 < _parse_test_size(a.test_size) < math.inf,
+     "--test-size must be finite and positive"),
+    (("sweep",), "--test-size",
+     lambda a: (v := _parse_test_size(a.test_size)) < 1.0 or v.is_integer(),
+     lambda a: f"--test-size of 1 or more must be a whole row count, got {a.test_size!r}"),
+    (("sweep",), "--test-size", lambda a: _parse_test_size(a.test_size) >= 1.0 or a.input,
+     "a fractional --test-size needs --input"),
+    (("sweep",), "--n", lambda a: a.axis != evaluate.AXIS_LAMBDA or a.n is not None,
+     "a lambda-axis sweep needs --n (fixed training size)"),
+)
 
 
-def _check_noise_sd(args) -> None:
-    if not 0.0 <= args.noise_sd < math.inf:
-        raise _InputError("--noise-sd must be finite and >= 0")
+def _check_flags(args) -> None:
+    """The first of ``_FLAG_RULES`` that ``args`` fails, as an _InputError."""
+    for commands, _, ok, message in _FLAG_RULES:
+        if args.command in commands and not ok(args):
+            raise _InputError(message if isinstance(message, str) else message(args))
 
 
 def _select(args, data: Dataset) -> bandwidth.BandwidthResult:
     """Run the --method selector; --grid-max, if given, ends CV's grid."""
-    _check_finite("--grid-min", args.grid_min)
-    _check_finite("--grid-max", args.grid_max)
-    if args.grid_max is not None and args.grid_max <= args.grid_min:
-        raise _InputError("--grid-max must exceed --grid-min")
     return bandwidth.select_bandwidth(
         args.method, data, args.lam, folds=args.folds, grid_size=args.grid_size,
         grid_min=args.grid_min, grid_max=args.grid_max, seed=args.seed,
@@ -103,9 +124,7 @@ def cmd_select(args) -> int:
 
 def cmd_fit(args) -> int:
     data = load_csv(args.input, args.header)
-    sigma = _sigma_flag(args)
-    if sigma is None:
-        sigma = _select(args, data).sigma
+    sigma = _select(args, data).sigma if args.sigma is None else args.sigma
     model = krr.fit(data, sigma, args.lam)
     krr.save_model(model, args.output)
     print(f"sigma={_fmt(sigma)}")
@@ -129,9 +148,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.n < 1:
-        raise _InputError("--n must be >= 1")
-    _check_noise_sd(args)
     data = generate_synthetic(args.n, args.noise_sd, args.seed)
     write_csv(data, args.output)
     print(f"rows={data.n}")
@@ -139,29 +155,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.threads < 1:
-        raise _InputError("--threads must be >= 1")
-    if args.repeats < 2:
-        raise _InputError("--repeats must be >= 2")
-    _check_noise_sd(args)
-    _check_finite("--grid-min", args.grid_min)
-    values = _parse_values(args.values)
-    if not values:
-        raise _InputError("--values is empty")
-    methods = _parse_methods(args.methods)
     data = load_csv(args.input, args.header) if args.input else None
-    test_size = _parse_test_size(args.test_size)
-    if isinstance(test_size, float) and data is None:
-        raise _InputError("a fractional --test-size needs --input")
-    if args.axis == evaluate.AXIS_LAMBDA and args.n is None:
-        raise _InputError("a lambda-axis sweep needs --n (fixed training size)")
-    if args.axis == evaluate.AXIS_N and not all(v.is_integer() for v in values):
-        raise _InputError(f"n-axis --values must be whole numbers, got {args.values!r}")
     report = evaluate.run_sweep(
-        args.axis, values, data=data, noise_sd=args.noise_sd,
+        args.axis, _parse_values(args.values), data=data, noise_sd=args.noise_sd,
         fixed_n=args.n, fixed_lambda=args.lam, repeats=args.repeats,
-        test_size=test_size, methods=methods, folds=args.folds,
-        grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
+        test_size=_parse_test_size(args.test_size), methods=_parse_methods(args.methods),
+        folds=args.folds, grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
         threads=args.threads,
     )
     write_text(args.output, evaluate.sweep_to_csv(report))
@@ -172,14 +171,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_jackknife(args) -> int:
     data = load_csv(args.input, args.header)
-    methods = _parse_methods(args.methods)
-    if not 0.0 <= args.holdout < 1.0:
-        raise _InputError("--holdout must be in [0, 1)")
-    if args.eval_points < 1:
-        raise _InputError("--eval-points must be >= 1")
-    if args.threads < 1:
-        raise _InputError("--threads must be >= 1")
-    _check_finite("--grid-min", args.grid_min)
     eval_grid = None  # run_jackknife's default: the training features
     if args.holdout > 0.0:
         # reserve a seeded random reference slice; jackknife the remainder
@@ -195,8 +186,8 @@ def cmd_jackknife(args) -> int:
         hi = float(data.features.max())
         eval_grid = np.linspace(lo, hi, args.eval_points).reshape(-1, 1)
     report = evaluate.run_jackknife(
-        data, args.lam, methods=methods, eval_grid=eval_grid, folds=args.folds,
-        grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
+        data, args.lam, methods=_parse_methods(args.methods), eval_grid=eval_grid,
+        folds=args.folds, grid_size=args.grid_size, grid_min=args.grid_min, seed=args.seed,
         threads=args.threads,
     )
     write_text(args.output, evaluate.jackknife_to_csv(report))
@@ -221,13 +212,7 @@ def _verify_points(args) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     claim = _CLAIM_FLAGS[args.claim]
-    for flag, count in (("--n", args.n), ("--p", args.p), ("--trials", args.trials)):
-        if count < 1:
-            raise _InputError(f"{flag} must be >= 1")
-    sigma = _sigma_flag(args)
-    if not 0.0 < args.lmax < math.inf:
-        raise _InputError("--lmax must be finite and > 0")
-    _check_noise_sd(args)
+    sigma = args.sigma
     if claim == verify.CLAIM_PROP1:
         params = bandwidth.JacobianParams(n=args.n, p=args.p, l_max=args.lmax, lam=args.lam)
         report = verify.check_prop1_regimes(params)
@@ -382,8 +367,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on flag errors and 0 on --help; rewrap 2 for clarity
         return int(exc.code or 0)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise _InputError("--seed must be >= 0")
+        _check_flags(args)
         return args.func(args)
     except (_InputError, CsvFormatError, OSError) as exc:
         print(f"gkrr: input error: {exc}", file=sys.stderr)

@@ -1,10 +1,13 @@
 import argparse
+import collections
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gkrr.cli import build_parser, main
+from gkrr.cli import _FLAG_RULES, build_parser, main
 from gkrr.data import generate_synthetic, load_csv, write_csv
 
 
@@ -828,3 +831,93 @@ class TestHelp:
         out = capsys.readouterr().out
         for d in defaults:
             assert f"default: {d}" in out
+
+
+def _flag_rule_cases():
+    """(command, rule, k): each command a rule covers, k counting the rules
+    before it on the same command and flag."""
+    seen = collections.Counter()
+    for rule in _FLAG_RULES:
+        for cmd in rule[0]:
+            yield cmd, rule, seen[cmd, rule[1]]
+            seen[cmd, rule[1]] += 1
+
+
+class TestFlagRules:
+    """Every flag check is one row of cli._FLAG_RULES, applied before a command
+    runs or reads a file; the README's exit-2 list names the same flags."""
+
+    # a missing --input shows that the rule fires before any file is read
+    BASE = {
+        "select": ["select", "--input", "{missing}"],
+        "fit": ["fit", "--input", "{missing}"],
+        "synth": ["synth", "--n", "5"],
+        "sweep": ["sweep", "--axis", "n", "--values", "10", "--test-size", "20"],
+        "jackknife": ["jackknife", "--input", "{missing}"],
+        "verify": ["verify", "--claim", "bermanis"],
+    }
+    # (command, flag) -> flags breaking each rule on that flag, in table order
+    CASES = {
+        **{(cmd, "--seed"): [["--seed", "-1"]] for cmd in BASE},
+        ("synth", "--n"): [["--n", "0"]],
+        ("verify", "--n"): [["--n", "0"]],
+        ("verify", "--p"): [["--p", "0"]],
+        ("verify", "--trials"): [["--trials", "0"]],
+        **{(cmd, "--sigma"): [["--sigma", "-1"], ["--sigma", "1e-300"]] for cmd in ("fit", "verify")},
+        ("verify", "--lmax"): [["--lmax", "inf"]],
+        ("verify", "--delta"): [["--delta", "1"]],
+        **{(cmd, "--noise-sd"): [["--noise-sd", "-1"]] for cmd in ("synth", "sweep", "verify")},
+        **{(cmd, "--threads"): [["--threads", "0"]] for cmd in ("sweep", "jackknife")},
+        ("sweep", "--repeats"): [["--repeats", "1"]],
+        ("jackknife", "--holdout"): [["--holdout", "1"]],
+        ("jackknife", "--eval-points"): [["--eval-points", "0"]],
+        **{(cmd, "--grid-min"): [["--grid-min", "nan"]]
+           for cmd in ("select", "fit", "sweep", "jackknife")},
+        **{(cmd, "--grid-max"): [["--grid-max", "inf"], ["--grid-max", "0.01"]]
+           for cmd in ("select", "fit")},
+        ("sweep", "--values"): [["--values", ","], ["--values", "10.5"]],
+        **{(cmd, "--methods"): [["--methods", "jacobian,cvv"], ["--methods", ","]]
+           for cmd in ("sweep", "jackknife")},
+        ("sweep", "--test-size"): [["--test-size", "0"], ["--test-size", "20.5"],
+                                   ["--test-size", "0.5"]],
+        ("sweep", "--n"): [["--axis", "lambda", "--values", "0.1"]],
+    }
+
+    def test_one_case_per_rule(self):
+        counts = collections.Counter((cmd, rule[1]) for cmd, rule, _ in _flag_rule_cases())
+        assert {key: len(flags) for key, flags in self.CASES.items()} == dict(counts)
+
+    @pytest.mark.parametrize("cmd, rule, k", [
+        pytest.param(cmd, rule, k, id=f"{cmd}{rule[1]}-{k}") for cmd, rule, k in _flag_rule_cases()
+    ])
+    def test_rule_exit_2(self, capsys, tmp_path, cmd, rule, k):
+        out_path = tmp_path / "o.csv"
+        argv = [a.replace("{missing}", str(tmp_path / "missing.csv"))
+                for a in [*self.BASE[cmd], *self.CASES[cmd, rule[1]][k], "--output", str(out_path)]]
+        message = rule[3] if isinstance(rule[3], str) else rule[3](build_parser().parse_args(argv))
+        assert run_cli(capsys, *argv) == (2, "", f"gkrr: input error: {message}\n")
+        assert not out_path.exists()
+
+    def test_readme_exit_2_list_names_every_rule_flag(self):
+        text = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+        exit_2 = text.split("Exit codes:", 1)[1].split("2 input error", 1)[1]
+        exit_2 = exit_2.split("3 computation error", 1)[0]
+        assert set(re.findall(r"`(--[a-z-]+)`", exit_2)) == {rule[1] for rule in _FLAG_RULES}
+
+    @pytest.mark.parametrize("delta", ["2", "nan", "0", "-0.5"])
+    def test_verify_delta_out_of_range_exit_2(self, capsys, delta):
+        code, out, err = run_cli(capsys, "verify", "--claim", "bermanis", "--delta", delta)
+        assert (code, out, err) == (2, "", "gkrr: input error: --delta must be in (0, 1)\n")
+
+    @pytest.mark.parametrize("flag", ["--grid-min", "--grid-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_fit_sigma_checks_grid_flags(self, capsys, tmp_path, ten_point_file, flag, value):
+        # --sigma skips selection, but a bad grid flag is still a flag error
+        model_path = tmp_path / "model.csv"
+        code, out, err = run_cli(
+            capsys, "fit", "--input", str(ten_point_file), "--sigma", "0.5", flag, value,
+            "--output", str(model_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"gkrr: input error: {flag} must be finite, got {value}\n"
+        assert not model_path.exists()

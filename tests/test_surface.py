@@ -9,11 +9,14 @@ format is decided in one module. Feature matrices are checked by
 ``bandwidth`` alone. Squared distances, blocked ones included, come from
 ``kernel.pairwise_sq_dists`` alone, so the tracer's count of it sees every
 block; LAPACK's ``dpotrf`` and ``dpotrs`` are called from ``linalg`` alone, the
-one module that reads their ``info`` codes. scipy and the process pool load
-only when used: on the first factorization (before a pool forks, so workers
-inherit it) and on the first run on more than one worker.
+one module that reads their ``info`` codes. The CLI's flag checks are the rows
+of one table, so no command raises a flag error of its own. scipy and the
+process pool load only when used: on the first factorization (before a pool
+forks, so workers inherit it) and on the first run on more than one worker.
 """
 
+import ast
+import collections
 import importlib
 import importlib.util
 import json
@@ -112,6 +115,21 @@ def test_only_linalg_calls_lapack_cholesky():
         if path.name != "linalg.py" and re.search(r"\bdpotr[fs]\(", path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_cli_input_errors_raised_only_by_flag_table_parsers_and_data_checks():
+    # a new flag rule goes in cli._FLAG_RULES; the commands raise _InputError
+    # only for what a file holds: a model that fails to load, a query column
+    # count, a jackknife holdout leaving fewer than 3 rows
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    raisers = collections.Counter(
+        getattr(fn, "name", "<module>")
+        for fn in tree.body
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and "_InputError" in ast.unparse(node.exc or node)
+    )
+    assert raisers == {"_parse_values": 1, "_parse_test_size": 1, "_check_flags": 1,
+                       "cmd_predict": 2, "cmd_jackknife": 1}
 
 
 def _fresh(code: str, cwd: Path) -> object:
