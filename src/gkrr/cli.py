@@ -47,6 +47,18 @@ def _unknown_methods(args) -> list[str]:
     return [m for m in _parse_methods(args.methods) if m not in bandwidth.METHODS]
 
 
+def _sweep_select_error(args) -> str | None:
+    """check_selects' text for sweep's --methods at the axis's least training
+    size and its CV flags, or None when every selector can run."""
+    n = args.n if args.axis == evaluate.AXIS_LAMBDA else int(min(_parse_values(args.values)))
+    try:
+        bandwidth.check_selects(_parse_methods(args.methods), n, args.folds, args.grid_size,
+                                args.grid_min)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 # Every flag check, as (commands, flag, ok(args), message): the message is a str
 # or, where it quotes a value, a function of args. main applies the rules in
 # order before a command runs or reads a file; the first that fails is exit 2.
@@ -91,6 +103,9 @@ _FLAG_RULES = (
      "a fractional --test-size needs --input"),
     (("sweep",), "--n", lambda a: a.axis != evaluate.AXIS_LAMBDA or a.n is not None,
      "a lambda-axis sweep needs --n (fixed training size)"),
+    (("sweep",), "--methods", lambda a: _sweep_select_error(a) is None, _sweep_select_error),
+    (("verify",), "--n", lambda a: a.claim != "prop1" or a.n >= 3,
+     "--n must be >= 3 for --claim prop1"),
 )
 
 

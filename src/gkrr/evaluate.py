@@ -4,8 +4,9 @@ The harness draws each replicate's data and fold seed in the calling process,
 from a SeedSequence rooted at (seed, replicate index), so a lambda-axis sweep
 reuses the same data and folds at every axis value (paired comparisons); the
 replicate then only selects, fits and scores. With ``threads > 1`` the
-replicates of one call run on a pool of worker processes, the same computation
-as in a serial run, so the reports are identical.
+caller runs its share of one call's replicates and one process, forked where
+the platform offers it, runs each other share: the same computation as in a
+serial run, so the reports are identical.
 
 Per-replicate selector or fit failures exclude that replicate for the failing
 method only; exclusion counts are first-class output, never imputed.
@@ -61,9 +62,10 @@ def r_squared(y_true, y_pred) -> float:
 
 @dataclass(frozen=True)
 class _Replicate:
-    """One sweep or jackknife replicate, pickled to pool workers: the training
-    set, evaluation rows and fold seed the harness drew, and what to run on them.
-    ``y_eval`` holds the test responses of a sweep, None for a jackknife."""
+    """One sweep or jackknife replicate: the training set, evaluation rows and
+    fold seed the harness drew, and what to run on them (pickled to worker
+    processes only where they are not forked). ``y_eval`` holds the test
+    responses of a sweep, None for a jackknife."""
 
     train: Dataset
     X_eval: np.ndarray
@@ -92,34 +94,62 @@ def _run_replicate(task: _Replicate) -> dict:
 
 
 def _worker_count(threads: int, tasks: int, cpus: int) -> int:
-    """Pool size: ``threads``, but never more than the tasks or usable CPUs."""
+    """Workers, the caller among them: ``threads``, capped at the tasks and CPUs."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     return min(threads, tasks, cpus)
 
 
-def _map_replicates(tasks: list[_Replicate], threads: int) -> list[dict]:
-    """Runner results in task order: in-process at one worker, else from one pool."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = _worker_count(threads, len(tasks), cpus or 1)
-    if workers == 1:
-        return [_run_replicate(t) for t in tasks]
-    # imported here so that serial runs and CLI start-up do not pay for it
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork starts a worker in milliseconds, spawn and forkserver in tenths of
-    # a second; gkrr starts no threads of its own, and tasks pickle, so spawn
-    # works where fork is not offered
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    # a forked worker inherits the parent's modules, so scipy is imported
-    # once here rather than in every worker of every call
-    load_lapack()
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork" if fork else None))
+def _run_stride(conn, tasks: list[_Replicate]) -> None:
+    """A worker process's body: send its stride's results, or what it raised."""
     try:
-        return list(pool.map(_run_replicate, tasks))
+        out = [_run_replicate(t) for t in tasks]
+    except Exception as exc:
+        out = exc
+    conn.send(out)
+
+
+def _map_replicates(tasks: list[_Replicate], threads: int) -> list[dict]:
+    """Runner results in task order. With w workers the caller runs
+    ``tasks[0::w]`` and each of w - 1 processes one stride ``tasks[k::w]``, so
+    every worker gets the same mix of a sweep's axis points."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    w = _worker_count(threads, len(tasks), cpus or 1)
+    if w == 1:
+        return [_run_replicate(t) for t in tasks]
+    import multiprocessing  # here so that serial runs and CLI start-up do not pay for it
+
+    # fork starts a process in milliseconds, spawn in tenths of a second;
+    # gkrr starts no threads of its own, and tasks pickle, so spawn works
+    # where fork is not offered
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if fork else None)
+    # a forked process inherits the caller's modules, so scipy is imported
+    # once here rather than in every process of every call
+    load_lapack()
+    results, procs = [None] * len(tasks), []
+    try:
+        for k in range(1, w):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_stride, args=(send, tasks[k::w]))
+            proc.start()
+            send.close()  # the process holds the only write end: its exit reads as EOF
+            procs.append((proc, recv))
+        results[0::w] = [_run_replicate(t) for t in tasks[0::w]]
+        for k, (proc, recv) in enumerate(procs, 1):
+            try:
+                out = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a replicate worker exited with code {proc.exitcode}") from None
+            if isinstance(out, Exception):
+                raise out
+            results[k::w] = out
+        return results
     finally:
-        pool.shutdown(cancel_futures=True)
+        for proc, _ in procs:
+            proc.terminate()  # a no-op on a process that has exited
+            proc.join()
 
 
 def _method_rows(results: list[dict], method: str) -> list:

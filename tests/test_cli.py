@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gkrr import evaluate
 from gkrr.cli import _FLAG_RULES, build_parser, main
 from gkrr.data import generate_synthetic, load_csv, write_csv
 
@@ -118,7 +119,8 @@ class TestSelect:
 @pytest.mark.parametrize("argv", [
     ["select"],
     ["fit", "--output", "{out}"],
-    ["sweep", "--axis", "n", "--values", "3", "--test-size", "0.5", "--output", "{out}"],
+    ["sweep", "--axis", "n", "--values", "3", "--test-size", "0.5", "--methods", "jacobian",
+     "--output", "{out}"],
     ["jackknife", "--output", "{out}"],
 ], ids=["select", "fit", "sweep", "jackknife"])
 def test_non_utf8_input_exit_2(capsys, tmp_path, argv):
@@ -556,9 +558,15 @@ class TestGridMaxOnlyWhereUsed:
         assert not out_path.exists()
 
 
+def as_flag_error(result):
+    """A CLI result as the flag error (exit 2) with the same message."""
+    return 2, result[1], result[2].replace("gkrr: error:", "gkrr: input error:")
+
+
 class TestHarnessCvFlags:
-    """sweep and jackknife reject a bad CV flag with select's exit code and
-    text, before any replicate runs, instead of reporting excluded rows."""
+    """sweep and jackknife reject a bad CV flag with select's text, before any
+    replicate runs, instead of reporting excluded rows: jackknife with select's
+    exit code, sweep, whose training sizes are flags, as a flag error."""
 
     HARNESS = {
         "sweep": ["sweep", "--axis", "n", "--values", "10", "--repeats", "2",
@@ -578,7 +586,7 @@ class TestHarnessCvFlags:
         argv = [a.replace("{data}", str(ten_point_file)) for a in self.HARNESS[cmd]]
         got = run_cli(capsys, *argv, *flags, "--output", str(out_path))
         assert select[0] in (2, 3)
-        assert got == (select[0], "", select[2])
+        assert got == (as_flag_error(select) if cmd == "sweep" else select)
         assert not out_path.exists()
 
     @pytest.mark.parametrize("cmd", ["sweep", "jackknife"])
@@ -597,7 +605,7 @@ class TestHarnessCvFlags:
                           "--test-size", "20", "--methods", "jacobian,cv"],
                 "jackknife": ["jackknife", "--input", str(files[6]), "--methods", "cv"]}[cmd]
         got = run_cli(capsys, *argv, "--folds", "10", "--output", str(out_path))
-        assert got == select
+        assert got == (as_flag_error(select) if cmd == "sweep" else select)
         assert not out_path.exists()
 
     @pytest.mark.parametrize("cmd,method,rows", [
@@ -620,7 +628,7 @@ class TestHarnessCvFlags:
                 "jackknife": ["jackknife", "--input", str(files[rows + 1])]}[cmd]
         got = run_cli(capsys, *argv, "--methods", method, "--folds", "2",
                       "--output", str(out_path))
-        assert got == select
+        assert got == (as_flag_error(select) if cmd == "sweep" else select)
         assert not out_path.exists()
 
 
@@ -860,7 +868,7 @@ class TestFlagRules:
     CASES = {
         **{(cmd, "--seed"): [["--seed", "-1"]] for cmd in BASE},
         ("synth", "--n"): [["--n", "0"]],
-        ("verify", "--n"): [["--n", "0"]],
+        ("verify", "--n"): [["--n", "0"], ["--claim", "prop1", "--n", "2"]],
         ("verify", "--p"): [["--p", "0"]],
         ("verify", "--trials"): [["--trials", "0"]],
         **{(cmd, "--sigma"): [["--sigma", "-1"], ["--sigma", "1e-300"]] for cmd in ("fit", "verify")},
@@ -876,8 +884,9 @@ class TestFlagRules:
         **{(cmd, "--grid-max"): [["--grid-max", "inf"], ["--grid-max", "0.01"]]
            for cmd in ("select", "fit")},
         ("sweep", "--values"): [["--values", ","], ["--values", "10.5"]],
-        **{(cmd, "--methods"): [["--methods", "jacobian,cvv"], ["--methods", ","]]
-           for cmd in ("sweep", "jackknife")},
+        ("jackknife", "--methods"): [["--methods", "jacobian,cvv"], ["--methods", ","]],
+        ("sweep", "--methods"): [["--methods", "jacobian,cvv"], ["--methods", ","],
+                                 ["--folds", "1"]],
         ("sweep", "--test-size"): [["--test-size", "0"], ["--test-size", "20.5"],
                                    ["--test-size", "0.5"]],
         ("sweep", "--n"): [["--axis", "lambda", "--values", "0.1"]],
@@ -903,6 +912,36 @@ class TestFlagRules:
         exit_2 = text.split("Exit codes:", 1)[1].split("2 input error", 1)[1]
         exit_2 = exit_2.split("3 computation error", 1)[0]
         assert set(re.findall(r"`(--[a-z-]+)`", exit_2)) == {rule[1] for rule in _FLAG_RULES}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--axis", "lambda", "--values", "0.1", "--n", "0", "--methods", "jacobian"],
+         "Jacobian selection needs n >= 3, got 0"),
+        (["--axis", "lambda", "--values", "0.1", "--n", "5", "--methods", "cv"],
+         "n=5 smaller than fold count 10"),
+        (["--axis", "lambda", "--values", "0.1", "--n", "20", "--folds", "1"],
+         "need at least 2 folds, got 1"),
+        (["--axis", "lambda", "--values", "0.1", "--n", "20", "--grid-size", "0"],
+         "grid size must be >= 1, got 0"),
+        (["--axis", "n", "--values", "2,30"], "n=2 smaller than fold count 10"),
+        (["--axis", "n", "--values", "30,1", "--methods", "silverman"],
+         "Silverman's rule needs n >= 2, got 1"),
+    ], ids=["n0-jacobian", "n5-cv", "folds1", "grid-size0", "values2", "values1-silverman"])
+    def test_sweep_selector_needs_exit_2(self, capsys, tmp_path, monkeypatch, argv, message):
+        # checked on the flags, at the axis's least training size, before any
+        # replicate runs
+        def refuse_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(evaluate, "_map_replicates", refuse_replicates)
+        out_path = tmp_path / "o.csv"
+        got = run_cli(capsys, "sweep", *argv, "--repeats", "2", "--test-size", "20",
+                      "--output", str(out_path))
+        assert got == (2, "", f"gkrr: input error: {message}\n")
+        assert not out_path.exists()
+
+    def test_verify_prop1_runs_from_n_3(self, capsys):
+        # the rule's bound is the library's: n = 2 is rejected (CASES), n = 3 runs
+        assert run_cli(capsys, "verify", "--claim", "prop1", "--n", "3")[0] == 0
 
     @pytest.mark.parametrize("delta", ["2", "nan", "0", "-0.5"])
     def test_verify_delta_out_of_range_exit_2(self, capsys, delta):

@@ -1,8 +1,10 @@
 import inspect
 import math
 import multiprocessing
+import os
 import pickle
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +475,82 @@ class TestReplicateRunner:
     def test_worker_count_rejects_below_one(self):
         with pytest.raises(ValueError, match="threads"):
             _worker_count(0, 10, 2)
+
+
+def call_within(seconds, fn, *args, **kw):
+    """``fn``'s result, or the exception it raised, failing the test if it
+    runs longer than ``seconds``."""
+    out = []
+
+    def call():
+        try:
+            out.append(fn(*args, **kw))
+        except Exception as exc:
+            out.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), f"no return within {seconds} s"
+    return out[0]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="worker processes see the caller's monkeypatch only when forked")
+class TestWorkerProcesses:
+    """With w workers the caller runs ``tasks[0::w]``; each of w - 1 forked
+    processes runs one stride ``tasks[k::w]`` and sends back its results."""
+
+    @pytest.fixture(autouse=True)
+    def no_cpu_cap(self, monkeypatch):
+        # w = threads, so three strides run even on a 2-CPU host
+        monkeypatch.setattr(evaluate, "_worker_count", lambda threads, tasks, cpus: min(threads, tasks))
+
+    def in_workers(self, monkeypatch, replicate):
+        """Run ``replicate`` on task t in a forked process, t squared in the caller."""
+        caller = os.getpid()
+        monkeypatch.setattr(evaluate, "_run_replicate",
+                            lambda t: t * t if os.getpid() == caller else replicate(t))
+
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_results_in_task_order(self, monkeypatch, threads):
+        monkeypatch.setattr(evaluate, "_run_replicate", lambda t: t * t)
+        assert evaluate._map_replicates(list(range(11)), threads) == [t * t for t in range(11)]
+        assert multiprocessing.active_children() == []
+
+    def test_stride_exception_reaches_caller(self, monkeypatch):
+        def boom(t):
+            raise RuntimeError(f"boom in task {t}")
+
+        self.in_workers(monkeypatch, boom)
+        exc = call_within(60, evaluate._map_replicates, list(range(6)), 3)
+        assert isinstance(exc, RuntimeError) and str(exc) == "boom in task 1"
+        assert multiprocessing.active_children() == []
+
+    def test_process_that_exits_without_sending(self, monkeypatch):
+        self.in_workers(monkeypatch, lambda t: os._exit(7))
+        started = time.monotonic()
+        exc = call_within(60, evaluate._map_replicates, list(range(6)), 2)
+        assert isinstance(exc, RuntimeError) and "exited with code 7" in str(exc)
+        assert time.monotonic() - started < 10
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_caller_runs_its_own_stride(self, monkeypatch, threads):
+        # counted in the caller only: a forked process counts in its own copy
+        calls = []
+
+        def counted(task):
+            calls.append(task)
+            return _run_replicate(task)
+
+        monkeypatch.setattr(evaluate, "_run_replicate", counted)
+        kw = dict(fixed_lambda=1e-3, repeats=4, test_size=20, methods=("jacobian",), seed=6)
+        report = run_sweep(AXIS_N, [10, 12], threads=threads, **kw)
+        assert len(calls) == len(range(8)[::threads])
+        calls.clear()
+        assert sweep_to_csv(report) == sweep_to_csv(run_sweep(AXIS_N, [10, 12], **kw))
+        assert len(calls) == 8
 
 
 def test_mean_sd_over_replicates():
