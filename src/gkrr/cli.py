@@ -43,17 +43,17 @@ def _parse_test_size(text: str) -> float:
         raise _InputError(f"cannot parse --test-size {text!r}") from None
 
 
-def _unknown_methods(args) -> list[str]:
-    return [m for m in _parse_methods(args.methods) if m not in bandwidth.METHODS]
-
-
-def _sweep_select_error(args) -> str | None:
-    """check_selects' text for sweep's --methods at the axis's least training
-    size and its CV flags, or None when every selector can run."""
-    n = args.n if args.axis == evaluate.AXIS_LAMBDA else int(min(_parse_values(args.values)))
+def _selects_error(args) -> str | None:
+    """check_selects' text for the selectors the command runs, with its CV flags, at
+    the least training size its flags fix, or None when every selector can run. A
+    file's size is not known here: the selectors check it when they run."""
+    methods = (args.method,) if args.command in ("select", "fit") else _parse_methods(args.methods)
+    n = math.inf
+    if args.command == "sweep":
+        n = args.n if args.axis == evaluate.AXIS_LAMBDA else int(min(_parse_values(args.values)))
     try:
-        bandwidth.check_selects(_parse_methods(args.methods), n, args.folds, args.grid_size,
-                                args.grid_min)
+        if getattr(args, "sigma", None) is None:  # fit --sigma runs no selector
+            bandwidth.check_selects(methods, n, args.folds, args.grid_size, args.grid_min)
     except ValueError as exc:
         return str(exc)
     return None
@@ -90,10 +90,6 @@ _FLAG_RULES = (
     (("sweep",), "--values",
      lambda a: a.axis != evaluate.AXIS_N or all(v.is_integer() for v in _parse_values(a.values)),
      lambda a: f"n-axis --values must be whole numbers, got {a.values!r}"),
-    (("sweep", "jackknife"), "--methods", lambda a: not _unknown_methods(a),
-     lambda a: f"unknown method {_unknown_methods(a)[0]!r}; choose from {bandwidth.METHODS}"),
-    (("sweep", "jackknife"), "--methods", lambda a: _parse_methods(a.methods),
-     "empty --methods list"),
     (("sweep",), "--test-size", lambda a: 0.0 < _parse_test_size(a.test_size) < math.inf,
      "--test-size must be finite and positive"),
     (("sweep",), "--test-size",
@@ -103,9 +99,11 @@ _FLAG_RULES = (
      "a fractional --test-size needs --input"),
     (("sweep",), "--n", lambda a: a.axis != evaluate.AXIS_LAMBDA or a.n is not None,
      "a lambda-axis sweep needs --n (fixed training size)"),
-    (("sweep",), "--methods", lambda a: _sweep_select_error(a) is None, _sweep_select_error),
-    (("verify",), "--n", lambda a: a.claim != "prop1" or a.n >= 3,
-     "--n must be >= 3 for --claim prop1"),
+    (("select", "fit"), "--method", lambda a: _selects_error(a) is None, _selects_error),
+    (("sweep", "jackknife"), "--methods", lambda a: _selects_error(a) is None, _selects_error),
+    (("verify",), "--n", lambda a: a.n >= 3 or a.claim == "prop3"
+     or (a.sigma is not None and a.claim in ("prop2", "bermanis")),
+     lambda a: f"--n must be >= 3 for --claim {a.claim}"),
 )
 
 

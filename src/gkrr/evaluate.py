@@ -101,11 +101,12 @@ def _worker_count(threads: int, tasks: int, cpus: int) -> int:
 
 
 def _run_stride(conn, tasks: list[_Replicate]) -> None:
-    """A worker process's body: send its stride's results, or what it raised."""
+    """A worker process's body: send its stride's results, or what it raised and where."""
     try:
         out = [_run_replicate(t) for t in tasks]
     except Exception as exc:
-        out = exc
+        import traceback  # loaded only by a worker that fails
+        out = exc, traceback.format_exc()
     conn.send(out)
 
 
@@ -142,8 +143,8 @@ def _map_replicates(tasks: list[_Replicate], threads: int) -> list[dict]:
             except EOFError:
                 proc.join()
                 raise RuntimeError(f"a replicate worker exited with code {proc.exitcode}") from None
-            if isinstance(out, Exception):
-                raise out
+            if isinstance(out, tuple):  # the worker's traceback as the cause, as in a process pool
+                raise out[0] from RuntimeError(f"in a replicate worker:\n{out[1]}")
             results[k::w] = out
         return results
     finally:

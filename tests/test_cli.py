@@ -344,14 +344,15 @@ class TestUnderflowingGrid:
         return path
 
     @pytest.mark.parametrize("grid_min", ["1e-300", "0"])
-    def test_cv_select_exit_3(self, capsys, dup_file, grid_min):
+    def test_cv_select_exit_2(self, capsys, dup_file, grid_min):
+        # a flag error: the grid is rejected before any CV loss is computed
         code, out, err = run_cli(
             capsys, "select", "--input", str(dup_file), "--method", "cv",
             "--grid-min", grid_min, "--grid-max", "9", "--grid-size", "3",
             "--folds", "2", "--lambda", "0.1",
         )
-        assert (code, out) == (3, "")
-        assert err.startswith("gkrr: error:")
+        assert (code, out) == (2, "")
+        assert err.startswith("gkrr: input error:")
 
 
 class TestSweep:
@@ -868,7 +869,7 @@ class TestFlagRules:
     CASES = {
         **{(cmd, "--seed"): [["--seed", "-1"]] for cmd in BASE},
         ("synth", "--n"): [["--n", "0"]],
-        ("verify", "--n"): [["--n", "0"], ["--claim", "prop1", "--n", "2"]],
+        ("verify", "--n"): [["--n", "0"], ["--n", "2"]],
         ("verify", "--p"): [["--p", "0"]],
         ("verify", "--trials"): [["--trials", "0"]],
         **{(cmd, "--sigma"): [["--sigma", "-1"], ["--sigma", "1e-300"]] for cmd in ("fit", "verify")},
@@ -884,12 +885,13 @@ class TestFlagRules:
         **{(cmd, "--grid-max"): [["--grid-max", "inf"], ["--grid-max", "0.01"]]
            for cmd in ("select", "fit")},
         ("sweep", "--values"): [["--values", ","], ["--values", "10.5"]],
-        ("jackknife", "--methods"): [["--methods", "jacobian,cvv"], ["--methods", ","]],
-        ("sweep", "--methods"): [["--methods", "jacobian,cvv"], ["--methods", ","],
-                                 ["--folds", "1"]],
         ("sweep", "--test-size"): [["--test-size", "0"], ["--test-size", "20.5"],
                                    ["--test-size", "0.5"]],
         ("sweep", "--n"): [["--axis", "lambda", "--values", "0.1"]],
+        ("select", "--method"): [["--method", "cv", "--folds", "1"]],
+        ("fit", "--method"): [["--method", "seeded-cv", "--grid-size", "0"]],
+        ("sweep", "--methods"): [["--methods", "jacobian,cvv"]],
+        ("jackknife", "--methods"): [["--methods", "jacobian,cv", "--folds", "1"]],
     }
 
     def test_one_case_per_rule(self):
@@ -940,8 +942,37 @@ class TestFlagRules:
         assert not out_path.exists()
 
     def test_verify_prop1_runs_from_n_3(self, capsys):
-        # the rule's bound is the library's: n = 2 is rejected (CASES), n = 3 runs
+        # the rule's bound is the library's: n = 2 exits 2 (test_verify_n_2_exit_2), n = 3 runs
         assert run_cli(capsys, "verify", "--claim", "prop1", "--n", "3")[0] == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--claim", "prop1"], ["--claim", "prop2"], ["--claim", "prop4"],
+        ["--claim", "prop4", "--sigma", "0.5"],
+    ], ids=lambda f: "=".join(f))
+    def test_verify_n_2_exit_2(self, capsys, flags):
+        # every claim whose library call needs n >= 3: prop2 and bermanis only
+        # through Jacobian selection (bermanis is in CASES)
+        assert run_cli(capsys, "verify", "--n", "2", *flags) == (
+            2, "", f"gkrr: input error: --n must be >= 3 for --claim {flags[1]}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--claim", "prop2", "--n", "2", "--sigma", "0.5", "--trials", "5"],
+        ["verify", "--claim", "bermanis", "--n", "2", "--sigma", "0.5"],
+        ["verify", "--claim", "prop3", "--n", "2"],
+        ["select", "--input", "{data}", "--method", "jacobian", "--folds", "1"],
+        ["fit", "--input", "{data}", "--sigma", "0.5", "--folds", "1", "--output", "{model}"],
+    ], ids=["prop2-sigma", "bermanis-sigma", "prop3", "select-jacobian", "fit-sigma"])
+    def test_flags_no_selector_needs_still_run(self, capsys, tmp_path, ten_point_file, argv):
+        argv = [a.replace("{data}", str(ten_point_file)).replace("{model}", str(tmp_path / "m"))
+                for a in argv]
+        assert run_cli(capsys, *argv)[0] == 0
+
+    def test_file_size_checked_when_selector_runs(self, capsys, tmp_path):
+        # the rule does not know a file's size: a 5-row file fails in the selector
+        path = tmp_path / "five.csv"
+        path.write_text("".join(f"{i},{i % 2}\n" for i in range(5)))
+        assert run_cli(capsys, "select", "--input", str(path), "--method", "cv") == (
+            3, "", "gkrr: error: n=5 smaller than fold count 10\n")
 
     @pytest.mark.parametrize("delta", ["2", "nan", "0", "-0.5"])
     def test_verify_delta_out_of_range_exit_2(self, capsys, delta):

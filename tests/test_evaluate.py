@@ -527,6 +527,14 @@ class TestWorkerProcesses:
         assert isinstance(exc, RuntimeError) and str(exc) == "boom in task 1"
         assert multiprocessing.active_children() == []
 
+    def test_stride_traceback_is_the_cause(self, monkeypatch):
+        def raise_in_worker(t):
+            raise RuntimeError(f"boom in task {t}")
+
+        self.in_workers(monkeypatch, raise_in_worker)
+        exc = call_within(60, evaluate._map_replicates, list(range(6)), 3)
+        assert "in raise_in_worker" in str(exc.__cause__)
+
     def test_process_that_exits_without_sending(self, monkeypatch):
         self.in_workers(monkeypatch, lambda t: os._exit(7))
         started = time.monotonic()
