@@ -95,9 +95,10 @@ class JacobianParams:
         """(n-1)^(1/p) - 1, the per-dimension point-count factor."""
         return math.pow(self.n - 1, 1.0 / self.p) - 1.0
 
-    def bermanis_exponent(self, sigma: float) -> float:
-        """t = spread * pi * sigma / (2 l_max), so that j_b = 1 / (n exp(-t^2) + lambda)."""
-        return self.spread * math.pi * sigma / (2.0 * self.l_max)
+    def bermanis_estimate(self, sigma: float) -> float:
+        """n exp(-t^2), t = spread * pi * sigma / (2 l_max): j_b's estimate of s_min(K)."""
+        t = self.spread * math.pi * sigma / (2.0 * self.l_max)
+        return self.n * math.exp(-t * t)
 
 
 @dataclass(frozen=True)
@@ -122,21 +123,11 @@ class BandwidthResult:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def jacobian_factors(sigma: float, params: JacobianParams) -> tuple[float, float]:
-    """(j_a, j_b) at ``sigma``: kernel-decay and conditioning factors."""
-    sigma = check_sigma(sigma)
-    j_a = 1.0 / sigma
-    t = params.bermanis_exponent(sigma)
-    denom = params.n * math.exp(-t * t) + params.lam
-    with np.errstate(divide="ignore"):
-        j_b = float(np.divide(1.0, denom))
-    return j_a, j_b
-
-
 def approx_jacobian_norm(sigma: float, params: JacobianParams) -> float:
-    """The Jacobian proxy j_a(sigma) * j_b(sigma) (constant factor omitted)."""
-    j_a, j_b = jacobian_factors(sigma, params)
-    return j_a * j_b
+    """The proxy j_a * j_b (constant omitted): 1/sigma times 1/(n exp(-t^2) + lambda)."""
+    sigma = check_sigma(sigma)
+    with np.errstate(divide="ignore"):
+        return (1.0 / sigma) * float(np.divide(1.0, params.bermanis_estimate(sigma) + params.lam))
 
 
 def jacobian_sigma(params: JacobianParams, branch: int = PRINCIPAL) -> float:

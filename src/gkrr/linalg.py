@@ -1,8 +1,7 @@
-"""Dense SPD solves for the ridge system and eigenvalue extremes.
+"""Dense SPD solves for the ridge system.
 
-Sized for dense problems (n up to a few thousand for solves, n <= 500 for
-eigenvalue extraction, which exists for bound verification rather than
-production paths). Cholesky factors are returned read-only.
+Sized for dense problems (n up to a few thousand). Cholesky factors are
+returned read-only.
 
 LAPACK's ``dpotrf`` (for its failing pivot), ``dpotrs`` and ``dposv`` come
 from ``scipy.linalg.lapack``, imported on the first factorization or solve
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_EIG_MAX_N = 500
 _lapack = None  # scipy.linalg.lapack once load_lapack() has run
 
 
@@ -109,25 +107,3 @@ def solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"invalid argument {-info} passed to dpotrs")
     return x
 
-
-def singular_extremes(M: np.ndarray) -> tuple[float, float]:
-    """(largest, smallest) singular value of a symmetric PSD matrix.
-
-    Uses a dense symmetric eigendecomposition; for PSD input the singular
-    values are the eigenvalues (tiny negative rounding noise is folded in by
-    absolute value). Restricted to n <= 500: this exists for verification,
-    not production paths.
-    """
-    M = _check_square_symmetric(M, "M")
-    n = M.shape[0]
-    if n > _EIG_MAX_N:
-        raise ValueError(f"singular_extremes limited to n <= {_EIG_MAX_N}, got {n}")
-    try:
-        eigs = np.linalg.eigvalsh(M)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolve did not converge: {exc}") from exc
-    s_max = float(np.abs(eigs).max())
-    if eigs.min() < -1e-10 * max(1.0, s_max):
-        raise ValueError("M is not PSD within tolerance")
-    svals = np.abs(eigs)
-    return float(svals.max()), float(svals.min())

@@ -28,7 +28,6 @@ from .data import Dataset, _fmt, as_features, format_table
 from .kernel import gradient_one_norm_bound, kernel_gradient_norm, kernel_matrix, max_pairwise_distance
 from .krr import fit, gradient
 from .lambertw import NEGATIVE
-from .linalg import singular_extremes
 
 CLAIM_PROP1 = "prop1-regimes"
 CLAIM_PROP2 = "prop2-chain"
@@ -76,6 +75,12 @@ def _report(claim: str, margins: list[float], seed: int, config: str) -> BoundRe
         seed=seed,
         config=config,
     )
+
+
+def _kernel_svals(X: np.ndarray, sigma: float) -> np.ndarray:
+    """Singular values of K = kernel_matrix(X, None, sigma) as |eigenvalues|: K is
+    symmetric, and its rounding negatives (~n eps s_max) fold in by absolute value."""
+    return np.abs(np.linalg.eigvalsh(kernel_matrix(X, None, sigma)))
 
 
 def reports_to_csv(reports) -> str:
@@ -172,8 +177,7 @@ def check_prop2_chain(
     model = fit(data, sigma, lam)
     X, y = data.features, data.response
     n = data.n
-    K = kernel_matrix(X, None, sigma)
-    s_min = singular_extremes(K)[1]
+    s_min = float(_kernel_svals(X, sigma).min())
     inv_norm = 1.0 / (s_min + lam)
     outer = math.sqrt(n) * float(np.linalg.norm(y)) * inv_norm
 
@@ -228,14 +232,10 @@ def check_prop4(X: np.ndarray, sigma: float, lam: float = 0.0) -> BoundReport:
     """
     X = as_features(X)
     n, p = X.shape
-    if n < 3:
-        raise ValueError(f"check_prop4 needs n >= 3, got {n}")
     l_max = max_pairwise_distance(X)
     params = JacobianParams(n=n, p=p, l_max=l_max, lam=lam)
-    K = kernel_matrix(X, None, sigma)
-    s_min = singular_extremes(K)[1]
-    t = params.bermanis_exponent(sigma)
-    margin = n * math.exp(-t * t) - s_min
+    s_min = float(_kernel_svals(X, sigma).min())
+    margin = params.bermanis_estimate(sigma) - s_min
     config = (
         f"claim={CLAIM_PROP4};n={n};p={p};sigma={_fmt(sigma)};lambda={_fmt(lam)};"
         f"l_max={_fmt(l_max)};s_min={_fmt(s_min)}"
@@ -252,9 +252,7 @@ def check_bermanis_count(X: np.ndarray, sigma: float, delta: float) -> BoundRepo
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     X = as_features(X)
     n, p = X.shape
-    K = kernel_matrix(X, None, sigma)
-    eigs = np.linalg.eigvalsh(K)
-    svals = np.abs(eigs)
+    svals = _kernel_svals(X, sigma)
     s1 = float(svals.max())
     count = int(np.sum(svals >= delta * s1))
     l_max = max_pairwise_distance(X)

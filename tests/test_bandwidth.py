@@ -15,7 +15,6 @@ from gkrr.bandwidth import (
     approx_jacobian_norm,
     classify_regime,
     default_cv_grid,
-    jacobian_factors,
     jacobian_sigma,
     lambda_threshold,
     select_bandwidth,
@@ -120,14 +119,14 @@ class TestApproxJacobianNorm:
     def test_conditioning_factor_limit(self):
         # j_b -> 1/lambda as sigma -> infinity
         params = JacobianParams(n=10, p=1, l_max=1.0, lam=1.0)
-        _, j_b = jacobian_factors(1e3, params)
+        j_b = 1.0 / (params.bermanis_estimate(1e3) + params.lam)
         assert j_b == pytest.approx(1.0, abs=1e-6)
 
     def test_factor_bounds(self):
         params = JacobianParams(n=12, p=2, l_max=2.0, lam=0.3)
         sigmas = np.geomspace(1e-3, 1e3, 200)
-        j_a = np.array([jacobian_factors(s, params)[0] for s in sigmas])
-        j_b = np.array([jacobian_factors(s, params)[1] for s in sigmas])
+        j_a = 1.0 / sigmas
+        j_b = np.array([1.0 / (params.bermanis_estimate(s) + params.lam) for s in sigmas])
         assert np.all(j_b <= 1.0 / 0.3 + 1e-12)
         assert np.all(np.diff(j_a) < 0)  # strictly decreasing
         # increasing toward 1/lambda; the tail saturates there exactly once

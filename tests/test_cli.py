@@ -50,6 +50,13 @@ class TestSelect:
         assert code == 3
         assert "variance" in err
 
+    def test_cv_identical_rows_exit_3(self, capsys, tmp_path):
+        # one feature value on every row: no diameter to end the default grid
+        path = tmp_path / "same.csv"
+        path.write_text("".join(f"1,{i}\n" for i in range(12)))
+        assert run_cli(capsys, "select", "--input", str(path), "--method", "cv", "--folds", "2") == (
+            3, "", "gkrr: error: all rows identical: cannot build the default CV grid\n")
+
     def test_cv_deterministic_output(self, capsys, tmp_path):
         data = generate_synthetic(25, 0.1, seed=3)
         src = tmp_path / "d.csv"
@@ -75,6 +82,13 @@ class TestSelect:
         code, _, err = run_cli(capsys, "select", "--input", str(path))
         assert code == 2
         assert "row 1, column 2" in err
+
+    def test_empty_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "select", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("gkrr: input error:") and err.endswith("no data rows\n")
 
     @pytest.mark.parametrize("grid_max", [None, 9.0])
     def test_cv_one_point_grid_is_geometric_midpoint(self, capsys, ten_point_file, grid_max):
@@ -720,6 +734,16 @@ class TestJackknife:
         assert len(out_path.read_text().strip().splitlines()) == 1 + 6
 
 
+    def test_holdout_leaves_too_few_rows_exit_2(self, capsys, tmp_path):
+        # 0.7 of 8 rows held out leaves 2 to train on
+        src = tmp_path / "d.csv"
+        write_csv(generate_synthetic(8, 0.1, seed=4), src)
+        out_path = tmp_path / "jk.csv"
+        got = run_cli(capsys, "jackknife", "--input", str(src), "--holdout", "0.7",
+                      "--methods", "jacobian", "--output", str(out_path))
+        assert got == (2, "", "gkrr: input error: holdout leaves fewer than 3 training rows\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_eval_points_below_one_exit_2(self, capsys, tmp_path, points):
         data = generate_synthetic(10, 0.1, seed=4)
@@ -805,6 +829,14 @@ class TestVerify:
         assert code == 0
         assert "worst_margin=" in out
 
+
+    @pytest.mark.parametrize("claim, n", [("prop2", "12"), ("prop2", "501"), ("prop4", "501")])
+    def test_point_cloud_claims_run(self, capsys, claim, n):
+        # p > 1 draws a seeded point cloud; K's spectrum has no size cap, so
+        # prop2 and prop4 run above 500 rows as bermanis does
+        code, out, err = run_cli(capsys, "verify", "--claim", claim, "--n", n, "--p", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].endswith("PASS") and f";n={n};p=2;" in out
 
     @pytest.mark.parametrize("claim, flag, value", [
         ("bermanis", "--p", "-1"), ("bermanis", "--p", "0"), ("prop4", "--n", "-2"),
@@ -939,6 +971,17 @@ class TestFlagRules:
         got = run_cli(capsys, "sweep", *argv, "--repeats", "2", "--test-size", "20",
                       "--output", str(out_path))
         assert got == (2, "", f"gkrr: input error: {message}\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--values", "10,abc", "--test-size", "20"], "cannot parse --values '10,abc'"),
+        (["--values", "10", "--test-size", "abc"], "cannot parse --test-size 'abc'"),
+    ], ids=["values", "test-size"])
+    def test_sweep_unparseable_number_exit_2(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "o.csv"
+        code, out, err = run_cli(capsys, "sweep", "--axis", "n", *argv, "--output", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"gkrr: input error: {message}")
         assert not out_path.exists()
 
     def test_verify_prop1_runs_from_n_3(self, capsys):

@@ -4,14 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import complex_step_gradient
+from conftest import complex_step_gradient, jacobi_eigenvalues
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkrr.data import Dataset, generate_synthetic
 from gkrr.kernel import kernel_matrix, max_pairwise_distance
 from gkrr.krr import KrrModel, fit, gradient, load_model, predict, save_model
-from gkrr.linalg import FactorizationError, factor_spd, singular_extremes, solve
+from gkrr.linalg import FactorizationError, factor_spd, solve
 from gkrr.verify import _PROP2_REL_TOL
 
 
@@ -222,7 +222,7 @@ class TestBoundChain:
                 m = fit(data, sigma, lam)
             except FactorizationError:
                 continue
-            s_min = singular_extremes(kernel_matrix(X, None, sigma))[1]
+            s_min = float(np.abs(jacobi_eigenvalues(kernel_matrix(X, None, sigma))).min())
             outer = math.sqrt(n) * np.linalg.norm(y) / (s_min + lam)
             x_star = rng.uniform(-1.2, 1.2, size=p)
             g = np.linalg.norm(gradient(m, x_star))

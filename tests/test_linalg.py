@@ -3,11 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import jacobi_eigenvalues
 
 import gkrr
 from gkrr.kernel import kernel_matrix
-from gkrr.linalg import FactorizationError, _factor_solve, factor_spd, singular_extremes, solve
+from gkrr.linalg import FactorizationError, _factor_solve, factor_spd, solve
 
 
 def gaussian_elimination_solve(A, b):
@@ -148,46 +147,9 @@ def test_only_linalg_calls_dposv():
     assert offenders == []
 
 
-class TestSingularExtremes:
-    def test_diagonal(self):
-        assert singular_extremes(np.diag([3.0, 1.0, 0.5])) == (3.0, 0.5)
-
-    def test_identity(self):
-        assert singular_extremes(np.eye(7)) == (1.0, 1.0)
-
-    def test_matches_jacobi_oracle(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(10, 2))
-        K = kernel_matrix(X, None, 1.0)
-        s_max, s_min = singular_extremes(K)
-        eigs = jacobi_eigenvalues(K)
-        assert s_max == pytest.approx(eigs[-1], rel=1e-7)
-        assert s_min == pytest.approx(eigs[0], rel=1e-7, abs=1e-12)
-
-    def test_shift_property(self):
-        rng = np.random.default_rng(4)
-        M = random_spd(rng, 15)
-        s_max, s_min = singular_extremes(M)
-        for c in (0.1, 1.0, 10.0):
-            sc_max, sc_min = singular_extremes(M + c * np.eye(15))
-            assert sc_max - s_max == pytest.approx(c, rel=1e-8)
-            assert sc_min - s_min == pytest.approx(c, rel=1e-8)
-
-    def test_inverse_norm_identity(self):
-        # 1/(s_min(K) + lam) equals 1/s_min(K + lam I): the shift moves every
-        # eigenvalue by exactly lam
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(12, 1))
-        K = kernel_matrix(X, None, 0.4)
-        lam = 1e-2
-        _, s_min = singular_extremes(K)
-        _, s_min_shifted = singular_extremes(K + lam * np.eye(12))
-        assert 1.0 / (s_min + lam) == pytest.approx(1.0 / s_min_shifted, rel=1e-8)
-
-    def test_size_limit(self):
-        with pytest.raises(ValueError, match="n <= 500"):
-            singular_extremes(np.eye(501))
-
-    def test_non_psd_rejected(self):
-        with pytest.raises(ValueError, match="PSD"):
-            singular_extremes(np.diag([1.0, -0.5]))
+def test_only_verify_calls_eigvalsh():
+    # K's spectrum, for the bound checks, is taken in one place: verify._kernel_svals
+    package = Path(gkrr.__file__).resolve().parent
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "verify.py" and re.search(r"\beigvalsh\(", path.read_text(encoding="utf-8"))]
+    assert offenders == []

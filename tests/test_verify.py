@@ -86,14 +86,13 @@ class TestProp2Chain:
         # still dominates there
         from gkrr.kernel import gradient_one_norm_bound
         from gkrr.krr import fit, gradient
-        from gkrr.linalg import singular_extremes
 
         data = generate_synthetic(10, 0.1, seed=3)
         sigma, lam = 0.8, 1e-3
         model = fit(data, sigma, lam)
         x_star = np.array([float(data.features[4, 0]) + sigma])
         g = np.linalg.norm(gradient(model, x_star))
-        s_min = singular_extremes(kernel_matrix(data.features, None, sigma))[1]
+        s_min = float(np.abs(jacobi_eigenvalues(kernel_matrix(data.features, None, sigma))).min())
         bound = (
             math.sqrt(10)
             * np.linalg.norm(data.response)
