@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,18 +194,12 @@ def _jacobian_closed_form(n: int, p: int, l_max: float, lam: float) -> Bandwidth
     """select_jacobian's result for ``n`` rows in ``p`` dimensions of diameter ``l_max``."""
     if l_max <= 0.0:
         raise ValueError("all rows identical: l_max = 0")
-    thr = lambda_threshold(n)
-    clamped = lam > thr
-    lam_eff = thr if clamped else lam
-    sigma = jacobian_sigma(JacobianParams(n=n, p=p, l_max=l_max, lam=lam_eff))
-    j2a = approx_jacobian_norm(sigma, JacobianParams(n=n, p=p, l_max=l_max, lam=lam))
-    return BandwidthResult(
-        sigma=sigma,
-        method=METHOD_JACOBIAN,
-        regime=classify_regime(n, lam),
-        clamped=clamped,
-        j2a_at_sigma=j2a,
-    )
+    params = JacobianParams(n=n, p=p, l_max=l_max, lam=lam)
+    regime = classify_regime(n, lam)
+    clamped = regime is Regime.MONOTONE
+    sigma = jacobian_sigma(replace(params, lam=lambda_threshold(n)) if clamped else params)
+    return BandwidthResult(sigma=sigma, method=METHOD_JACOBIAN, regime=regime, clamped=clamped,
+                           j2a_at_sigma=approx_jacobian_norm(sigma, params))
 
 
 def select_silverman(X: np.ndarray) -> BandwidthResult:
@@ -336,10 +330,7 @@ def select_seeded_cv(
     check_selects((METHOD_SEEDED_CV,), data.n, folds, grid_size)
     d2 = pairwise_sq_dists(data.features, data.features)
     sigma0 = _jacobian_closed_form(data.n, data.p, math.sqrt(float(d2.max())), lam).sigma
-    if grid_size == 1:
-        grid = np.array([sigma0])
-    else:
-        grid = np.geomspace(sigma0 / 5.0, 5.0 * sigma0, grid_size)
+    grid = np.array([sigma0]) if grid_size == 1 else default_cv_grid(5.0 * sigma0, grid_size, sigma0 / 5.0)
     return _run_cv(data, d2, lam, folds, grid, seed, METHOD_SEEDED_CV)
 
 

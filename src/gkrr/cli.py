@@ -18,7 +18,6 @@ import numpy as np
 from . import bandwidth, evaluate, krr, verify
 from .data import CsvFormatError, Dataset, _fmt, format_table, generate_synthetic, load_csv
 from .data import read_rows, write_csv, write_text
-from .linalg import FactorizationError
 
 
 class _InputError(Exception):
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
     except (_InputError, CsvFormatError, OSError) as exc:
         print(f"gkrr: input error: {exc}", file=sys.stderr)
         return 2
-    except (FactorizationError, ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"gkrr: error: {exc}", file=sys.stderr)
         return 3
 

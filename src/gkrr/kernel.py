@@ -3,9 +3,9 @@
 Point sets are (n x p) feature matrices, checked by ``data.as_features``: a
 1-D array is rejected, not read as one point. Distance matrices use the
 expanded form (||a||^2 + ||b||^2) - 2 a.b with small negatives clamped to
-zero; the one-query kernel row behind the gradient uses x - x_i. When both
-kernel-matrix arguments are the same object, the upper triangle is mirrored
-so the result is exactly symmetric with a unit diagonal.
+zero; the one-query kernel row behind the gradient uses x - x_i. The
+symmetric kernel matrix (``B=None``) mirrors its upper triangle, so it is
+exactly symmetric with a unit diagonal.
 
 Buffers: ``pairwise_sq_dists`` of m x n takes two m x n buffers (result and
 Gram product). ``_sq_dist_blocks`` calls it on _ROW_BLOCK rows at a time, so a
@@ -99,14 +99,13 @@ def _kernel_upper(X: np.ndarray, sigma: float) -> np.ndarray:
 def kernel_matrix(A: np.ndarray, B: np.ndarray | None = None, sigma: float = 1.0) -> np.ndarray:
     """Gaussian kernel matrix with entry (i, j) = k(a_i, b_j).
 
-    Pass ``B=None`` (or the same array object as ``A``) for the symmetric
-    train-by-train matrix; that path mirrors the upper triangle, so symmetry
-    holds to 0 ulp and the diagonal is exactly 1.
+    Pass ``B=None`` for the symmetric train-by-train matrix; that path mirrors
+    the upper triangle, so symmetry holds to 0 ulp and the diagonal is exactly 1.
+    Any ``B``, ``A`` itself included, gives the cross kernel, entry by entry.
     """
     sigma = check_sigma(sigma)
-    symmetric = B is None or B is A
     A = as_features(A)
-    if not symmetric:
+    if B is not None:
         return _exp_neg_scaled(pairwise_sq_dists(A, B), sigma)
     K = _kernel_upper(A, sigma)
     for i in range(0, K.shape[0], _ROW_BLOCK):
@@ -159,8 +158,7 @@ def _query_row(X: np.ndarray, x_star, sigma: float) -> tuple[np.ndarray, np.ndar
     if x_star.shape[0] != X.shape[1]:
         raise ValueError(f"x_star has {x_star.shape[0]} coordinates, expected {X.shape[1]}")
     diff = x_star[None, :] - X
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    return diff, np.exp(-d2 / (2.0 * sigma * sigma))
+    return diff, _exp_neg_scaled(np.einsum("ij,ij->i", diff, diff), sigma)
 
 
 def gradient_one_norm_bound(X: np.ndarray, x_star: np.ndarray, sigma: float) -> float:

@@ -67,10 +67,8 @@ def fit(data: Dataset, sigma: float, lam: float) -> KrrModel:
     try:
         alpha = _factor_solve(K, data.response, lam)
     except FactorizationError as exc:
-        raise FactorizationError(
-            f"{exc} (n={data.n}, sigma={sigma}: sigma may be too large relative to lambda)",
-            pivot=exc.pivot,
-        ) from exc
+        msg = f"{exc} (n={data.n}, sigma={sigma}: sigma may be too large relative to lambda)"
+        raise FactorizationError(msg, pivot=exc.pivot) from exc
     return KrrModel(train_features=data.features, alpha=alpha, sigma=sigma, lam=lam)
 
 
@@ -108,6 +106,17 @@ def save_model(model: KrrModel, path) -> None:
     write_text(path, format_table(rows))
 
 
+def _float_row(path, rows: list[list[str]], i: int, width: int) -> list[float]:
+    """``rows[i]``, line i + 1 of a model file (blank lines skipped), as ``width``
+    floats; ValueError naming ``path`` and the line otherwise."""
+    try:
+        if len(rows[i]) != width:
+            raise ValueError(f"expected {width} fields, got {len(rows[i])}")
+        return [float(v) for v in rows[i]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {i + 1}: {exc}") from None
+
+
 def load_model(path) -> KrrModel:
     """Read back a model written by ``save_model``."""
     rows = read_table(path)
@@ -123,10 +132,10 @@ def load_model(path) -> KrrModel:
         raise ValueError(f"{path}: expected '#train_features' tag on line 3")
     if len(rows) < 4 + n or rows[3 + n] != ["#alpha"]:
         raise ValueError(f"{path}: expected '#alpha' tag after the feature rows")
-    X = np.array([[float(v) for v in row] for row in rows[3 : 3 + n]])
-    if X.shape != (n, p):
+    X = np.array([_float_row(path, rows, i, p) for i in range(3, 3 + n)])
+    if X.shape != (n, p):  # n < 1
         raise ValueError(f"{path}: feature block has shape {X.shape}, expected {(n, p)}")
-    alpha = np.array([float(v) for row in rows[4 + n : 4 + 2 * n] for v in row])
+    alpha = np.array([_float_row(path, rows, i, 1)[0] for i in range(4 + n, min(len(rows), 4 + 2 * n))])
     if alpha.shape != (n,):
         raise ValueError(f"{path}: alpha block has length {alpha.shape[0]}, expected {n}")
     try:

@@ -17,18 +17,16 @@ This module alone reads LAPACK's ``info`` codes.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-_lapack = None  # scipy.linalg.lapack once load_lapack() has run
 
-
+@functools.cache
 def load_lapack():
-    """scipy.linalg.lapack, imported on the first call and kept in a global:
-    each factor and solve calls this."""
-    global _lapack
-    if _lapack is None:
-        from scipy.linalg import lapack as _lapack
-    return _lapack
+    """scipy.linalg.lapack, imported on the first call: each factor and solve calls this."""
+    from scipy.linalg import lapack
+    return lapack
 
 
 class FactorizationError(RuntimeError):
@@ -44,16 +42,6 @@ class FactorizationError(RuntimeError):
         self.pivot = pivot
 
 
-def _check_square_symmetric(M: np.ndarray, what: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {M.shape}")
-    scale = 1.0 + float(np.abs(M).max(initial=0.0))
-    if float(np.abs(M - M.T).max(initial=0.0)) > 1e-10 * scale:
-        raise ValueError(f"{what} is not symmetric within tolerance")
-    return M
-
-
 def factor_spd(K: np.ndarray, lam: float = 0.0) -> np.ndarray:
     """Lower-triangular Cholesky factor of K + lam*I.
 
@@ -61,7 +49,12 @@ def factor_spd(K: np.ndarray, lam: float = 0.0) -> np.ndarray:
     matrix is not positive definite (a sign that lam is too small for the
     kernel bandwidth in use).
     """
-    K = _check_square_symmetric(K, "K")
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"K must be square, got shape {K.shape}")
+    scale = 1.0 + float(np.abs(K).max(initial=0.0))
+    if float(np.abs(K - K.T).max(initial=0.0)) > 1e-10 * scale:
+        raise ValueError("K is not symmetric within tolerance")
     lam = check_lambda(lam)
     c, info = load_lapack().dpotrf(K + lam * np.eye(K.shape[0]), lower=1, overwrite_a=1)
     _check_info(info, lam, "dpotrf")
@@ -81,8 +74,7 @@ def _check_info(info: int, lam: float, routine: str) -> None:
     """FactorizationError for a failed pivot, ValueError for a bad argument."""
     if info > 0:
         raise FactorizationError(
-            f"Cholesky failed at pivot {info}: K + {lam}*I is not positive "
-            "definite (lambda too small for this sigma?)",
+            f"Cholesky failed at pivot {info}: K + {lam}*I is not positive definite",
             pivot=int(info),
         )
     if info < 0:

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from conftest import press_loo_loss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gkrr
 from gkrr import bandwidth
 from gkrr.bandwidth import (
     _CV_STACK_FLOATS,
@@ -565,6 +568,20 @@ class TestSelectSeededCv:
     def test_method_tag(self):
         data = generate_synthetic(25, 0.1, seed=6)
         assert select_seeded_cv(data, 1e-3, seed=6).method == "seeded-cv"
+
+
+def test_only_default_cv_grid_calls_geomspace():
+    # CV's and seeded CV's log grids are both default_cv_grid's
+    where = []
+    for path in sorted(Path(gkrr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk reaches outer functions first, so the innermost owner wins
+        owner = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        where += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "geomspace"
+                  or isinstance(node, ast.alias) and node.name.endswith("geomspace")]
+    assert where == [("bandwidth.py", "default_cv_grid")]
 
 
 class TestBandwidthResult:

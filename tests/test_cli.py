@@ -234,7 +234,8 @@ class TestFitPredict:
     @pytest.mark.parametrize("body", [
         "#meta\n3,1,0.5,0\n#train_features\n0\n1\n2\n#alpha\n1\n2\n",
         "#meta\n3,2,0.5,0\n#train_features\n0,1\n1\n2,3\n#alpha\n1\n2\n3\n",
-    ], ids=["alpha-block-short", "ragged-feature-row"])
+        "#meta\n3,1,0.5,0\n#train_features\n0\n1\n2\n#alpha\n1\nx\n3\n",
+    ], ids=["alpha-block-short", "ragged-feature-row", "non-numeric-alpha"])
     def test_malformed_model_exit_2(self, capsys, tmp_path, body):
         model_path = tmp_path / "model.csv"
         model_path.write_text(body)
@@ -246,7 +247,7 @@ class TestFitPredict:
             "--output", str(pred_path),
         )
         assert code == 2
-        assert err.startswith("gkrr: input error:")
+        assert err.startswith(f"gkrr: input error: {model_path}:")
         assert not pred_path.exists()
 
     @pytest.mark.parametrize("line, text", [

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def k_at(d, sigma):
     return kernel_matrix(np.array([[0.0]]), np.array([[d]]), sigma)[0, 0]
 
 
+def assert_kernels_ordered(k_near, k_far, gap, depth):
+    """k_near >= k_far for kernels exp(-depth + gap) and exp(-depth), gap > 0; strictly
+    when gap exceeds 16 eps (1 + depth), more than rounding the two exponents (about
+    3 eps depth) and exp (a few eps) can hide, and exp(-depth) is a normal float."""
+    assert k_near >= k_far
+    if gap > 16 * sys.float_info.epsilon * (1 + depth) and -depth > math.log(sys.float_info.min):
+        assert k_near > k_far
+
+
 class TestGaussian:
     def test_zero_distance(self):
         assert kernel_matrix(np.array([[2.5]]), np.array([[2.5]]), 3.7)[0, 0] == 1.0
@@ -56,17 +66,17 @@ class TestGaussian:
         st.floats(1e-3, 1e3),
         st.floats(1e-3, 1e3),
     )
+    @example(1e-3, 0.0010000000000000002, 1.0)  # one ulp apart: both kernels are 0.9999995000001249
     @settings(max_examples=100, deadline=None)
     def test_monotonicity(self, da, db, sigma):
         lo, hi = sorted((da, db))
         if lo == hi:
             return
-        # strictly decreasing in d (until underflow flattens both to 0)
-        ka, kb = k_at(lo, sigma), k_at(hi, sigma)
-        assert ka > kb or (ka == kb == 0.0)
-        # strictly increasing in sigma for d > 0
-        k1, k2 = k_at(lo, sigma), k_at(lo, 2 * sigma)
-        assert k2 > k1 or (k1 == k2 == 0.0)
+        s2 = 2 * sigma * sigma
+        # decreasing in d: exponents -lo^2 / s2 and -hi^2 / s2
+        assert_kernels_ordered(k_at(lo, sigma), k_at(hi, sigma), (hi - lo) * (hi + lo) / s2, hi * hi / s2)
+        # increasing in sigma for d > 0: exponents -lo^2 / (4 s2) and -lo^2 / s2
+        assert_kernels_ordered(k_at(lo, 2 * sigma), k_at(lo, sigma), 0.75 * lo * lo / s2, lo * lo / s2)
 
 
 class TestKernelMatrix:
@@ -103,6 +113,14 @@ class TestKernelMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="column"):
             kernel_matrix(np.zeros((2, 2)), np.zeros((2, 3)), 1.0)
+
+    def test_same_array_twice_is_the_cross_kernel(self):
+        # only B=None takes the mirrored path; on this cloud its diagonal differs
+        # from the cross kernel's in one entry
+        A = np.random.default_rng(1).uniform(-5.0, 5.0, (6, 2))
+        K = kernel_matrix(A, A, 0.5)
+        np.testing.assert_array_equal(K.view(np.int64), kernel_matrix(A, A.copy(), 0.5).view(np.int64))
+        assert not np.array_equal(K, kernel_matrix(A, None, 0.5))
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
     def test_symmetric_row_blocks(self, n):
