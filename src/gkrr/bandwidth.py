@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import Dataset, as_features, make_kfold
 from .kernel import _exp, check_sigma, max_pairwise_distance, pairwise_sq_dists
-from .lambertw import NEGATIVE, PRINCIPAL, lambert_w
+from .lambertw import BRANCH_POINT, PRINCIPAL, lambert_w
 from .linalg import FactorizationError, _factor_solve, check_lambda
 
 METHOD_JACOBIAN = "jacobian"
@@ -126,16 +126,17 @@ class BandwidthResult:
 def approx_jacobian_norm(sigma: float, params: JacobianParams) -> float:
     """The proxy j_a * j_b (constant omitted): 1/sigma times 1/(n exp(-t^2) + lambda)."""
     sigma = check_sigma(sigma)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return (1.0 / sigma) * float(np.divide(1.0, params.bermanis_estimate(sigma) + params.lam))
 
 
 def jacobian_sigma(params: JacobianParams, branch: int = PRINCIPAL) -> float:
     """Closed-form stationary bandwidth sigma_0 (branch 0) or sigma_-1 (branch -1).
 
-    The Lambert W argument is computed as -(1/e) * (lambda / threshold) so
-    that lambda equal to the threshold lands exactly on the branch point and
-    the sqrt(3) clamping ratio is exact in floating point.
+    The Lambert W argument is computed as BRANCH_POINT * (lambda / threshold)
+    so that lambda equal to the threshold lands exactly on the branch point
+    and the sqrt(3) clamping ratio is exact in floating point; ``lambert_w``
+    rejects branch -1 at lambda = 0, where sigma_-1 is unbounded.
     """
     thr = lambda_threshold(params.n)
     if params.lam > thr:
@@ -143,10 +144,7 @@ def jacobian_sigma(params: JacobianParams, branch: int = PRINCIPAL) -> float:
             f"lambda={params.lam} exceeds the threshold 2*n*e^(-3/2)={thr}; "
             "no stationary bandwidth exists"
         )
-    arg = -math.exp(-1.0) * (params.lam / thr)
-    if branch == NEGATIVE and arg == 0.0:
-        raise ValueError("sigma_-1 is unbounded at lambda = 0")
-    w = lambert_w(arg, branch)
+    w = lambert_w(BRANCH_POINT * (params.lam / thr), branch)
     base = (math.sqrt(2.0) / math.pi) * params.l_max / params.spread
     return base * math.sqrt(1.0 - 2.0 * w)
 

@@ -12,7 +12,8 @@ Gram product). ``_sq_dist_blocks`` calls it on _ROW_BLOCK rows at a time, so a
 block takes two _ROW_BLOCK x n. The diameter and predict hold one block at a
 time, fit and the symmetric ``kernel_matrix`` one block and the n x n matrix.
 
-Every kernel exponential goes through ``_exp``. Below about -745.13 np.exp
+Every kernel matrix, row and CV stack exponentiates through ``_exp``; only
+the radial ``kernel_gradient_norm`` calls np.exp. Below about -745.13 np.exp
 returns exactly 0, but at 6-19 ns an entry against 1.4 ns for a normal one,
 so ``_exp`` writes those zeros itself when a sample of entries shows any;
 subnormal results are still computed.

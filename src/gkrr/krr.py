@@ -28,6 +28,8 @@ class KrrModel:
         # retain private copies so the model never aliases caller-owned memory
         X = _freeze(as_features(self.train_features))
         a = _freeze(np.asarray(self.alpha, dtype=float))
+        if X.shape[0] < 1:
+            raise ValueError(f"need at least one training row, got shape {X.shape}")
         if a.shape != (X.shape[0],):
             raise ValueError(f"alpha has shape {a.shape}, expected ({X.shape[0]},)")
         if not (np.isfinite(X).all() and np.isfinite(a).all()):
@@ -126,6 +128,8 @@ def load_model(path) -> KrrModel:
         n_s, p_s, sigma_s, lam_s = rows[1]
         n, p = int(n_s), int(p_s)
         sigma, lam = float(sigma_s), float(lam_s)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed #meta section: {exc}") from None
     if len(rows) < 3 or rows[2] != ["#train_features"]:
@@ -133,8 +137,6 @@ def load_model(path) -> KrrModel:
     if len(rows) < 4 + n or rows[3 + n] != ["#alpha"]:
         raise ValueError(f"{path}: expected '#alpha' tag after the feature rows")
     X = np.array([_float_row(path, rows, i, p) for i in range(3, 3 + n)])
-    if X.shape != (n, p):  # n < 1
-        raise ValueError(f"{path}: feature block has shape {X.shape}, expected {(n, p)}")
     alpha = np.array([_float_row(path, rows, i, 1)[0] for i in range(4 + n, min(len(rows), 4 + 2 * n))])
     if alpha.shape != (n,):
         raise ValueError(f"{path}: alpha block has length {alpha.shape[0]}, expected {n}")

@@ -100,8 +100,7 @@ def check_prop1_regimes(params: JacobianParams) -> BoundReport:
     """
     lo, hi = _PROP1_SPAN
     grid = default_cv_grid(hi * params.l_max, _PROP1_GRID_POINTS, lo * params.l_max)
-    with np.errstate(over="ignore"):
-        J = np.array([approx_jacobian_norm(s, params) for s in grid])
+    J = np.array([approx_jacobian_norm(s, params) for s in grid])
     regime = classify_regime(params.n, params.lam)
     margins: list[float] = []
 

@@ -584,6 +584,13 @@ def test_only_default_cv_grid_calls_geomspace():
     assert where == [("bandwidth.py", "default_cv_grid")]
 
 
+def test_only_lambertw_writes_exp_minus_one():
+    # -1/e is lambertw.BRANCH_POINT; no other module writes it again
+    where = [path.name for path in sorted(Path(gkrr.__file__).parent.glob("*.py"))
+             if "exp(-1.0)" in path.read_text(encoding="utf-8")]
+    assert where == ["lambertw.py"]
+
+
 class TestBandwidthResult:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -792,6 +792,20 @@ class TestVerify:
         assert code == 0
         assert "violations=0" in out and out.strip().splitlines()[0].endswith("PASS")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", ["1e-321", "6e-323"])
+    def test_prop1_subnormal_lambda_passes_quietly(self, capsys, lam):
+        # 1e-321 warned of an overflow in divide; 6e-323 divided by zero in W_-1
+        code, out, err = run_cli(capsys, "verify", "--claim", "prop1", "--lambda", lam)
+        assert (code, err) == (0, "")
+        assert out.strip().splitlines()[0].endswith("PASS")
+
+    def test_prop1_lambda_underflowing_to_zero_exit_3(self, capsys):
+        # lambda / threshold rounds to 0, where sigma_-1 is unbounded
+        code, _, err = run_cli(capsys, "verify", "--claim", "prop1", "--lambda", "5e-324")
+        assert code == 3
+        assert "W_-1 is unbounded" in err
+
     def test_prop3(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--claim", "prop3", "--sigma", "2.0")
         assert code == 0

@@ -271,6 +271,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"alpha has shape \(3, \d\), expected \(3,\)"):
             KrrModel(np.zeros((3, 1)), np.ones(shape), 1.0, 0.0)
 
+    def test_zero_rows_rejected(self):
+        # it constructed, and predict returned all zeros
+        with pytest.raises(ValueError, match="need at least one training row"):
+            KrrModel(np.empty((0, 1)), np.empty(0), 0.5, 0.0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_load_model_rejects_meta_n_below_one(self, tmp_path, n):
+        path = tmp_path / "model.csv"
+        path.write_text(f"#meta\n{n},1,0.5,0\n#train_features\n#alpha\n")
+        message = f"{path}: malformed #meta section: n must be >= 1, got {n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
     def test_one_dimensional_features_rejected(self):
         # read as n x 1 they constructed, and predict then raised IndexError
         with pytest.raises(ValueError, match="features must be 2-D"):

@@ -46,6 +46,18 @@ class TestBranchValues:
         assert w < -25
         assert w * math.exp(w) == pytest.approx(-1e-12, rel=1e-10)
 
+    def test_principal_at_negative_zero(self):
+        assert math.copysign(1.0, lambert_w(-0.0, PRINCIPAL)) == 1.0
+
+    @pytest.mark.parametrize("x", [-1e-300, -1e-305, -1e-310, -1e-315, -1e-320, -1e-323, -5e-324])
+    def test_negative_branch_subnormal_tail(self, x):
+        # exp(w) is subnormal at the root once x > -1e-305, so iterating on
+        # w exp(w) - x itself loses digits there
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = mpmath.lambertw(mpmath.mpf(x), -1).real
+            assert abs((lambert_w(x, NEGATIVE) - ref) / ref) <= 4e-16
+
     def test_negative_branch_extreme_tail(self):
         w = lambert_w(-1e-300, NEGATIVE)
         assert w < -690
@@ -61,10 +73,11 @@ class TestDomain:
         with pytest.raises(ValueError):
             lambert_w(BRANCH_POINT - 1e-9, PRINCIPAL)
 
-    def test_spill_clamped(self):
-        # floating-point spill just below -1/e maps to the branch point
-        assert lambert_w(BRANCH_POINT - 1e-16, PRINCIPAL) == -1.0
-        assert lambert_w(BRANCH_POINT - 1e-16, NEGATIVE) == -1.0
+    def test_spill_below_branch_point_rejected(self):
+        # no caller rounds below -1/e, so there is no clamp for spill
+        for branch in (PRINCIPAL, NEGATIVE):
+            with pytest.raises(ValueError, match="below -1/e"):
+                lambert_w(BRANCH_POINT - 1e-16, branch)
 
     def test_negative_branch_at_zero_rejected(self):
         with pytest.raises(ValueError):
