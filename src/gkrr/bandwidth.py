@@ -64,12 +64,11 @@ def lambda_threshold(n: int) -> float:
 
 
 def classify_regime(n: int, lam: float) -> Regime:
-    lam = check_lambda(lam)
-    if lam == 0.0:
+    """Decided on r = lambda / threshold, the ratio W reads: an r that underflows is 0."""
+    r = check_lambda(lam) / lambda_threshold(n)
+    if r == 0.0:
         return Regime.NO_REGULARIZATION
-    if lam <= lambda_threshold(n):
-        return Regime.LOCAL_MINIMUM
-    return Regime.MONOTONE
+    return Regime.LOCAL_MINIMUM if r <= 1.0 else Regime.MONOTONE
 
 
 @dataclass(frozen=True)
@@ -105,15 +104,14 @@ class JacobianParams:
 class BandwidthResult:
     """A selected bandwidth plus method-specific diagnostics.
 
-    ``regime``, ``clamped`` and ``j2a_at_sigma`` are populated by the Jacobian
-    selector only; ``cv_curve`` (tuples of (sigma, mean validation MSE)) by
-    the CV variants only.
+    ``regime`` and ``j2a_at_sigma`` are populated by the Jacobian selector
+    only; ``cv_curve`` (tuples of (sigma, mean validation MSE)) by the CV
+    variants only.
     """
 
     sigma: float
     method: str
     regime: Regime | None = None
-    clamped: bool = False
     j2a_at_sigma: float | None = None
     cv_curve: tuple[tuple[float, float], ...] | None = None
 
@@ -121,6 +119,11 @@ class BandwidthResult:
         check_sigma(self.sigma)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+
+    @property
+    def clamped(self) -> bool:
+        """True iff lambda was above the threshold and sigma_0 taken at the threshold."""
+        return self.regime is Regime.MONOTONE
 
 
 def approx_jacobian_norm(sigma: float, params: JacobianParams) -> float:
@@ -139,7 +142,7 @@ def jacobian_sigma(params: JacobianParams, branch: int = PRINCIPAL) -> float:
     rejects branch -1 at lambda = 0, where sigma_-1 is unbounded.
     """
     thr = lambda_threshold(params.n)
-    if params.lam > thr:
+    if classify_regime(params.n, params.lam) is Regime.MONOTONE:
         raise ValueError(
             f"lambda={params.lam} exceeds the threshold 2*n*e^(-3/2)={thr}; "
             "no stationary bandwidth exists"
@@ -196,7 +199,7 @@ def _jacobian_closed_form(n: int, p: int, l_max: float, lam: float) -> Bandwidth
     regime = classify_regime(n, lam)
     clamped = regime is Regime.MONOTONE
     sigma = jacobian_sigma(replace(params, lam=lambda_threshold(n)) if clamped else params)
-    return BandwidthResult(sigma=sigma, method=METHOD_JACOBIAN, regime=regime, clamped=clamped,
+    return BandwidthResult(sigma=sigma, method=METHOD_JACOBIAN, regime=regime,
                            j2a_at_sigma=approx_jacobian_norm(sigma, params))
 
 

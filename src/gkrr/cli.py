@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -103,6 +104,9 @@ _FLAG_RULES = (
     (("verify",), "--n", lambda a: a.n >= 3 or a.claim == "prop3"
      or (a.sigma is not None and a.claim in ("prop2", "bermanis")),
      lambda a: f"--n must be >= 3 for --claim {a.claim}"),
+    (("select",), "--output",
+     lambda a: a.output is None or a.method in (bandwidth.METHOD_CV, bandwidth.METHOD_SEEDED_CV),
+     "select --output writes the CV curve: it needs --method cv or seeded-cv"),
 )
 
 
@@ -129,7 +133,7 @@ def cmd_select(args) -> int:
         print(f"regime={res.regime.value}")
         print(f"clamped={'true' if res.clamped else 'false'}")
         print(f"j2a={_fmt(res.j2a_at_sigma)}")
-    if args.output and res.cv_curve is not None:
+    if args.output:
         write_text(args.output, format_table(res.cv_curve, ["sigma", "mean_loss"]))
     return 0
 
@@ -249,6 +253,7 @@ def cmd_verify(args) -> int:
             report = verify.check_prop4(X, sigma, args.lam)
         else:
             report = verify.check_bermanis_count(X, sigma, args.delta)
+        report = replace(report, seed=args.seed)  # --seed draws X when p > 1
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"claim={report.claim} trials={report.trials} violations={report.violations} "

@@ -1,9 +1,10 @@
 """Numerical verification of the toolkit's bound claims on concrete instances.
 
 Each check evaluates one claimed inequality (or family of shape conditions)
-and aggregates the outcome into a BoundReport: a trial count, a violation
-count, and the worst signed margin (negative iff something was violated).
-Reports are reproducible bit-for-bit from their config string.
+and aggregates the outcome into a BoundReport: one signed margin per trial
+(negative iff something was violated), from which the trial count, the
+violation count and the worst margin are derived. Reports are reproducible
+bit-for-bit from their config string and seed.
 
 The inverse-kernel-norm check compares on the spectral scale,
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .bandwidth import JacobianParams, Regime, approx_jacobian_norm, classify_regime
 from .bandwidth import default_cv_grid, jacobian_sigma
-from .data import Dataset, _fmt, as_features, format_table
+from .data import Dataset, _field, _fmt, as_features, format_table
 from .kernel import gradient_one_norm_bound, kernel_gradient_norm, kernel_matrix, max_pairwise_distance
 from .krr import fit, gradient
 from .lambertw import NEGATIVE
@@ -44,37 +45,39 @@ _PROP3_GRID_POINTS = 10_000
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Aggregated outcome of one verification run."""
+    """Outcome of one verification run: a signed margin per trial (negative iff
+    violated) and the settings after ``claim`` in the config string."""
 
     claim: str
-    trials: int
-    violations: int
-    worst_margin: float
+    margins: list[float]
     seed: int
-    config: str
+    settings: dict
 
     def __post_init__(self):
-        if not 0 <= self.violations <= self.trials:
-            raise ValueError("violations must lie in [0, trials]")
-        if (self.violations > 0) != (self.worst_margin < 0):
-            raise ValueError("worst_margin sign inconsistent with violation count")
+        if len(self.margins) == 0:
+            raise ValueError("a report needs at least one margin")
+
+    @property
+    def trials(self) -> int:
+        return len(self.margins)
+
+    @property
+    def violations(self) -> int:
+        return sum(1 for m in self.margins if m < 0)
+
+    @property
+    def worst_margin(self) -> float:
+        return float(min(self.margins))
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
-
-def _report(claim: str, margins: list[float], seed: int, config: str) -> BoundReport:
-    margins = [float(m) for m in margins]
-    violations = sum(1 for m in margins if m < 0)
-    return BoundReport(
-        claim=claim,
-        trials=len(margins),
-        violations=violations,
-        worst_margin=min(margins),
-        seed=seed,
-        config=config,
-    )
+    @property
+    def config(self) -> str:
+        """``claim=<claim>;key=value;...``, floats at 17 significant digits."""
+        return ";".join([f"claim={self.claim}",
+                         *(f"{k}={_field(v)}" for k, v in self.settings.items())])
 
 
 def _kernel_svals(X: np.ndarray, sigma: float) -> np.ndarray:
@@ -139,12 +142,9 @@ def check_prop1_regimes(params: JacobianParams) -> BoundReport:
     else:
         margins.append(float(np.min(J[:-1] - J[1:])))  # strictly decreasing throughout
 
-    config = (
-        f"claim={CLAIM_PROP1};n={params.n};p={params.p};l_max={_fmt(params.l_max)};"
-        f"lambda={_fmt(params.lam)};regime={regime.value};grid_points={_PROP1_GRID_POINTS};"
-        f"span={_fmt(lo)}:{_fmt(hi)}"
-    )
-    return _report(CLAIM_PROP1, margins, seed=0, config=config)
+    return BoundReport(CLAIM_PROP1, margins, 0, {
+        "n": params.n, "p": params.p, "l_max": float(params.l_max), "lambda": float(params.lam),
+        "regime": regime.value, "grid_points": _PROP1_GRID_POINTS, "span": f"{_fmt(lo)}:{_fmt(hi)}"})
 
 
 def check_prop2_chain(
@@ -192,11 +192,9 @@ def check_prop2_chain(
         grad = gradient(model, x_star)
         bound = outer * gradient_one_norm_bound(X, x_star, sigma)
         margins.append(bound * (1.0 + _PROP2_REL_TOL) - float(np.linalg.norm(grad)))
-    config = (
-        f"claim={CLAIM_PROP2};seed={seed};n={n};p={data.p};sigma={_fmt(sigma)};"
-        f"lambda={_fmt(lam)};trials={trials};rel_tol={_fmt(_PROP2_REL_TOL)}"
-    )
-    return _report(CLAIM_PROP2, margins, seed=seed, config=config)
+    return BoundReport(CLAIM_PROP2, margins, seed, {
+        "seed": seed, "n": n, "p": data.p, "sigma": float(sigma), "lambda": float(lam),
+        "trials": trials, "rel_tol": float(_PROP2_REL_TOL)})
 
 
 def check_prop3_gradmax(sigma: float) -> BoundReport:
@@ -217,8 +215,7 @@ def check_prop3_gradmax(sigma: float) -> BoundReport:
         1e-6 * cap - (cap - gmax),  # and the grid max comes within 1e-6 of it
         cell - abs(float(d[i_max]) - sigma),  # attained next to d = sigma
     ]
-    config = f"claim={CLAIM_PROP3};sigma={_fmt(sigma)};grid_points={_PROP3_GRID_POINTS}"
-    return _report(CLAIM_PROP3, margins, seed=0, config=config)
+    return BoundReport(CLAIM_PROP3, margins, 0, {"sigma": float(sigma), "grid_points": _PROP3_GRID_POINTS})
 
 
 def check_prop4(X: np.ndarray, sigma: float, lam: float = 0.0) -> BoundReport:
@@ -235,11 +232,8 @@ def check_prop4(X: np.ndarray, sigma: float, lam: float = 0.0) -> BoundReport:
     params = JacobianParams(n=n, p=p, l_max=l_max, lam=lam)
     s_min = float(_kernel_svals(X, sigma).min())
     margin = params.bermanis_estimate(sigma) - s_min
-    config = (
-        f"claim={CLAIM_PROP4};n={n};p={p};sigma={_fmt(sigma)};lambda={_fmt(lam)};"
-        f"l_max={_fmt(l_max)};s_min={_fmt(s_min)}"
-    )
-    return _report(CLAIM_PROP4, [margin], seed=0, config=config)
+    return BoundReport(CLAIM_PROP4, [margin], 0, {
+        "n": n, "p": p, "sigma": float(sigma), "lambda": float(lam), "l_max": l_max, "s_min": s_min})
 
 
 def check_bermanis_count(X: np.ndarray, sigma: float, delta: float) -> BoundReport:
@@ -256,8 +250,6 @@ def check_bermanis_count(X: np.ndarray, sigma: float, delta: float) -> BoundRepo
     count = int(np.sum(svals >= delta * s1))
     l_max = max_pairwise_distance(X)
     bound = ((2.0 / math.pi) * (l_max / sigma) * math.sqrt(math.log(1.0 / delta)) + 1.0) ** p
-    config = (
-        f"claim={CLAIM_BERMANIS};n={n};p={p};sigma={_fmt(sigma)};delta={_fmt(delta)};"
-        f"l_max={_fmt(l_max)};count={count};bound={_fmt(bound)}"
-    )
-    return _report(CLAIM_BERMANIS, [bound - count], seed=0, config=config)
+    return BoundReport(CLAIM_BERMANIS, [bound - count], 0, {
+        "n": n, "p": p, "sigma": float(sigma), "delta": float(delta), "l_max": l_max,
+        "count": count, "bound": bound})

@@ -1,5 +1,6 @@
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,12 @@ class TestRegime:
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             classify_regime(10, lam)
 
+    def test_ratio_underflowing_to_zero_is_no_regularization(self):
+        # W reads lambda / threshold, which rounds to 0 here: so does the regime
+        params = JacobianParams(n=10, p=1, l_max=1.0, lam=5e-324)
+        assert classify_regime(10, 5e-324) is Regime.NO_REGULARIZATION
+        assert jacobian_sigma(params) == jacobian_sigma(replace(params, lam=0.0))
+
     def test_threshold_value(self):
         assert lambda_threshold(10) == pytest.approx(2 * 10 * math.exp(-1.5), rel=1e-15)
 
@@ -239,6 +246,12 @@ class TestSelectJacobian:
         assert above.clamped
         assert above.sigma == at_thr.sigma  # bitwise equal by construction
         assert above.regime is Regime.MONOTONE
+
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 1.0, 1.0001, 1.5])
+    def test_clamped_is_monotone_regime(self, frac):
+        X = np.linspace(0.0, 1.0, 10).reshape(-1, 1)
+        res = select_jacobian(X, frac * lambda_threshold(10))
+        assert res.clamped == (res.regime is Regime.MONOTONE) == (frac > 1.0)
 
     def test_n_two_rejected(self):
         with pytest.raises(ValueError):
@@ -591,7 +604,27 @@ def test_only_lambertw_writes_exp_minus_one():
     assert where == ["lambertw.py"]
 
 
+def test_only_bound_report_config_writes_claim_config():
+    # the ``claim=...;key=value`` format is BoundReport.config's; cmd_verify's
+    # summary line names the claim too, and no check builds a report by hand
+    where = []
+    for path in sorted(Path(gkrr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        where += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and "claim=" in str(node.value)]
+        if path.name == "verify.py":
+            assert "_report" not in {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    assert sorted(set(where)) == [("cli.py", "cmd_verify"), ("verify.py", "config")]
+
+
 class TestBandwidthResult:
+    def test_clamped_not_settable(self):
+        # derived from the regime, so it cannot contradict it
+        with pytest.raises(TypeError):
+            BandwidthResult(sigma=1.0, method="jacobian", regime=Regime.MONOTONE, clamped=False)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BandwidthResult(sigma=-1.0, method="jacobian")

@@ -800,11 +800,24 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert out.strip().splitlines()[0].endswith("PASS")
 
-    def test_prop1_lambda_underflowing_to_zero_exit_3(self, capsys):
-        # lambda / threshold rounds to 0, where sigma_-1 is unbounded
-        code, _, err = run_cli(capsys, "verify", "--claim", "prop1", "--lambda", "5e-324")
-        assert code == 3
-        assert "W_-1 is unbounded" in err
+    @pytest.mark.parametrize("lam", ["5e-324", "1e-323"])
+    def test_prop1_lambda_ratio_underflowing_is_unregularized(self, capsys, lam):
+        # lambda / threshold rounds to 0, so W reads lambda = 0: the regime says so,
+        # and sigma_-1, unbounded there, is not asked for
+        code, out, err = run_cli(capsys, "verify", "--claim", "prop1", "--lambda", lam)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].endswith("PASS") and ";regime=no-regularization;" in out
+        at_zero = run_cli(capsys, "verify", "--claim", "prop1", "--lambda", "0")[1]
+        assert out.split()[3] == at_zero.split()[3]  # worst_margin=...
+
+    @pytest.mark.parametrize("claim", ["prop4", "bermanis"])
+    def test_point_cloud_report_carries_seed(self, capsys, tmp_path, claim):
+        # at p > 1 --seed draws the points, so the record names it
+        out_path = tmp_path / "report.csv"
+        code, out, _ = run_cli(capsys, "verify", "--claim", claim, "--p", "2", "--seed", "5",
+                               "--output", str(out_path))
+        assert code == 0 and " seed=5 " in out
+        assert out_path.read_text().splitlines()[1].endswith(",5")
 
     def test_prop3(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--claim", "prop3", "--sigma", "2.0")
@@ -939,6 +952,7 @@ class TestFlagRules:
         ("fit", "--method"): [["--method", "seeded-cv", "--grid-size", "0"]],
         ("sweep", "--methods"): [["--methods", "jacobian,cvv"]],
         ("jackknife", "--methods"): [["--methods", "jacobian,cv", "--folds", "1"]],
+        ("select", "--output"): [["--method", "silverman"]],
     }
 
     def test_one_case_per_rule(self):

@@ -80,7 +80,7 @@ def test_jackknife_report_bytes():
 
 
 def test_bound_report_bytes():
-    report = BoundReport("prop4-inverse-norm", 3, 1, -math.inf, 7, "cfg")
+    report = BoundReport("prop4-inverse-norm", [1.0, -math.inf, 2.0], 7, {})
     assert reports_to_csv([report]) == (
         "claim,trials,violations,worst_margin,seed\n"
         "prop4-inverse-norm,3,1,-inf,7\n"

@@ -24,16 +24,20 @@ def uniform_grid(n):
 
 
 class TestBoundReport:
-    def test_violation_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            BoundReport("prop4-inverse-norm", 1, 0, -1.0, 0, "x")
-        with pytest.raises(ValueError, match="inconsistent"):
-            BoundReport("prop4-inverse-norm", 1, 1, 1.0, 0, "x")
-        with pytest.raises(ValueError, match="violations"):
-            BoundReport("prop4-inverse-norm", 1, 2, -1.0, 0, "x")
+    def test_counts_derived_from_margins(self):
+        r = BoundReport("prop4-inverse-norm", [0.5, -1.0, 2.0, -0.25], 0, {})
+        assert (r.trials, r.violations, r.worst_margin, r.passed) == (4, 2, -1.0, False)
+
+    def test_empty_margins_rejected(self):
+        with pytest.raises(ValueError, match="at least one margin"):
+            BoundReport("prop4-inverse-norm", [], 0, {})
+
+    def test_config_formats_settings_in_order(self):
+        r = BoundReport("prop1-regimes", [1.0], 0, {"n": 3, "sigma": 0.1, "regime": "monotone"})
+        assert r.config == "claim=prop1-regimes;n=3;sigma=0.10000000000000001;regime=monotone"
 
     def test_csv_shape(self):
-        r = BoundReport("prop3-gradmax", 3, 0, 0.25, 7, "cfg")
+        r = BoundReport("prop3-gradmax", [1.0, 0.25, 2.0], 7, {})
         text = reports_to_csv([r])
         lines = text.strip().split("\n")
         assert lines[0] == "claim,trials,violations,worst_margin,seed"
