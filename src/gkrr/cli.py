@@ -59,6 +59,30 @@ def _selects_error(args) -> str | None:
     return None
 
 
+# The flags each verify claim reads in cmd_verify, besides --claim and --output;
+# prop2 reads --noise-sd only at p = 1, where it draws the sine data
+_CLAIM_READS = {
+    verify.CLAIM_PROP1: ("--n", "--p", "--lmax", "--lambda"),
+    verify.CLAIM_PROP2: ("--n", "--p", "--seed", "--sigma", "--lambda", "--trials", "--noise-sd"),
+    verify.CLAIM_PROP3: ("--sigma",),
+    verify.CLAIM_PROP4: ("--n", "--p", "--lmax", "--seed", "--sigma", "--lambda"),
+}
+_CLAIM_READS[verify.CLAIM_BERMANIS] = (*_CLAIM_READS[verify.CLAIM_PROP4], "--delta")
+
+
+def _unread_verify_flag(args) -> str | None:
+    """The error naming the first flag --claim does not read that is not at its default, or None."""
+    claim_reads = _CLAIM_READS[_CLAIM_FLAGS[args.claim]]
+    reads = {*claim_reads, "--output"} - ({"--noise-sd"} if args.p > 1 else set())
+    defaults = build_parser().parse_args(["verify", "--claim", args.claim])
+    for dest, value in vars(args).items():
+        flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+        if value != getattr(defaults, dest) and flag not in reads:
+            where = f" at --p {args.p}" if flag in claim_reads else ""
+            return f"--claim {args.claim}{where} does not read {flag}"
+    return None
+
+
 # Every flag check, as (commands, flag, ok(args), message): the message is a str
 # or, where it quotes a value, a function of args. main applies the rules in
 # order before a command runs or reads a file; the first that fails is exit 2.
@@ -107,6 +131,7 @@ _FLAG_RULES = (
     (("select",), "--output",
      lambda a: a.output is None or a.method in (bandwidth.METHOD_CV, bandwidth.METHOD_SEEDED_CV),
      "select --output writes the CV curve: it needs --method cv or seeded-cv"),
+    (("verify",), "--claim", lambda a: _unread_verify_flag(a) is None, _unread_verify_flag),
 )
 
 

@@ -125,7 +125,7 @@ def _map_replicates(tasks: list[_Replicate], threads: int) -> list[dict]:
     # where fork is not offered
     fork = "fork" in multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if fork else None)
-    # a forked process inherits the caller's modules, so scipy is imported
+    # a forked process inherits the caller's modules, so LAPACK is loaded
     # once here rather than in every process of every call
     load_lapack()
     results, procs = [None] * len(tasks), []

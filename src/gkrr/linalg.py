@@ -1,41 +1,46 @@
-"""Dense SPD solves for the ridge system.
+"""Dense SPD solves for the ridge system, sized for n up to a few thousand.
+Cholesky factors are returned read-only. This module alone reads LAPACK's
+``info`` codes.
 
-Sized for dense problems (n up to a few thousand). Cholesky factors are
-returned read-only.
-
-LAPACK's ``dpotrf`` (for its failing pivot), ``dpotrs`` and ``dposv`` come
-from ``scipy.linalg.lapack``, imported on the first factorization or solve
-rather than with this module: the import takes about a quarter of a second,
-three times numpy's, and ``synth``, closed-form selection and ``predict`` never
-factor. ``fit`` and CV factor and solve each system with one unchecked
-``dposv`` (``_factor_solve``): the same ``dpotrf`` then ``dpotrs`` in one call,
-so the solution, and the pivot a failure reports, are those of
-``solve(factor_spd(...))``. ``factor_spd`` and ``solve`` stay for callers
-that factor their own matrices, the acceptance gate's C12 oracle among them.
-This module alone reads LAPACK's ``info`` codes.
+``dposv``, ``dpotrf`` and ``dpotrs`` come from scipy's LAPACK extension, loaded
+by path on the first factorization or solve: ``synth``, closed-form selection
+and ``predict`` never factor, and importing ``scipy.linalg`` instead costs ten
+times as much (``BENCH_29.json``). ``fit`` and CV solve each system with one
+unchecked ``dposv`` (``_factor_solve``), which is ``dpotrf`` then ``dpotrs``
+in one call; ``factor_spd`` and ``solve`` serve callers that factor their own.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
+from importlib import machinery, util
+from pathlib import Path
 
 import numpy as np
 
 
 @functools.cache
 def load_lapack():
-    """scipy.linalg.lapack, imported on the first call: each factor and solve calls this."""
+    """scipy's ``_flapack``, loaded from its file under its own name, so ``import scipy.linalg``
+    reuses it; scipy.linalg.lapack if that is imported or the file does not load."""
+    if "scipy.linalg" not in sys.modules:
+        import scipy
+        paths = [Path(scipy.__file__).parent / f"linalg/_flapack{s}" for s in machinery.EXTENSION_SUFFIXES]
+        try:
+            spec = util.spec_from_file_location("scipy.linalg._flapack", next(filter(Path.is_file, paths)))
+            spec.loader.exec_module(module := util.module_from_spec(spec))
+            return sys.modules.setdefault(spec.name, module)
+        except (StopIteration, ImportError):
+            pass
     from scipy.linalg import lapack
     return lapack
 
 
 class FactorizationError(RuntimeError):
-    """Cholesky failure: K + lambda*I is not numerically positive definite.
-
-    ``pivot`` is the 1-based index of the first non-positive pivot. Typically
-    means lambda is too small for this sigma; the caller may retry — the
-    toolkit never inflates lambda silently.
-    """
+    """Cholesky failure: K + lambda*I is not numerically positive definite. ``pivot`` is the
+    1-based index of the first non-positive pivot. Typically lambda is too small for this
+    sigma; the caller may retry: the toolkit never inflates lambda silently."""
 
     def __init__(self, message: str, pivot: int):
         super().__init__(message)
@@ -43,12 +48,8 @@ class FactorizationError(RuntimeError):
 
 
 def factor_spd(K: np.ndarray, lam: float = 0.0) -> np.ndarray:
-    """Lower-triangular Cholesky factor of K + lam*I.
-
-    Raises FactorizationError with the failing pivot index when the shifted
-    matrix is not positive definite (a sign that lam is too small for the
-    kernel bandwidth in use).
-    """
+    """Lower-triangular Cholesky factor of K + lam*I; FactorizationError with the failing
+    pivot when it is not positive definite (a sign that lam is too small for the bandwidth)."""
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be square, got shape {K.shape}")
@@ -95,7 +96,6 @@ def solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[0] != c.shape[0]:
         raise ValueError(f"b has length {b.shape[0]}, expected {c.shape[0]}")
     x, info = load_lapack().dpotrs(c, b, lower=1)
-    if info != 0:
-        raise ValueError(f"invalid argument {-info} passed to dpotrs")
+    _check_info(info, 0.0, "dpotrs")  # dpotrs reports no pivot
     return x
 

@@ -881,6 +881,37 @@ class TestVerify:
         assert f"{flag} must be >= 1" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("claim, flags, message", [
+        ("prop1", ["--p", "2", "--sigma", "0.3"], "--claim prop1 does not read --sigma"),
+        ("prop2", ["--lmax", "3"], "--claim prop2 does not read --lmax"),
+        ("prop2", ["--p", "2", "--noise-sd", "0.2"], "--claim prop2 at --p 2 does not read --noise-sd"),
+        ("prop3", ["--n", "2"], "--claim prop3 does not read --n"),
+        ("prop4", ["--delta", "0.1"], "--claim prop4 does not read --delta"),
+        ("bermanis", ["--trials", "5"], "--claim bermanis does not read --trials"),
+    ], ids=["prop1", "prop2", "prop2-noise-sd", "prop3", "prop4", "bermanis"])
+    def test_unread_flag_exit_2(self, capsys, tmp_path, claim, flags, message):
+        out_path = tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, "verify", "--claim", claim, *flags, "--output", str(out_path))
+        assert (code, out, err) == (2, "", f"gkrr: input error: {message}\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("claim, flags", [
+        ("prop1", ["--n", "12", "--p", "2", "--lmax", "2", "--lambda", "0.01"]),
+        ("prop2", ["--n", "12", "--p", "2", "--seed", "3", "--sigma", "0.4", "--lambda", "0.01",
+                   "--trials", "5"]),
+        ("prop2", ["--n", "12", "--noise-sd", "0.2", "--trials", "5"]),
+        ("prop3", ["--sigma", "0.4"]),
+        ("prop4", ["--n", "12", "--p", "2", "--lmax", "2", "--seed", "3", "--sigma", "0.4",
+                   "--lambda", "0.01"]),
+        ("bermanis", ["--n", "12", "--p", "2", "--lmax", "2", "--seed", "3", "--sigma", "0.4",
+                      "--lambda", "0.01", "--delta", "0.3"]),
+    ], ids=["prop1", "prop2", "prop2-noise-sd", "prop3", "prop4", "bermanis"])
+    def test_claim_accepts_every_flag_it_reads(self, capsys, tmp_path, claim, flags):
+        out_path = tmp_path / "report.csv"
+        code, _, err = run_cli(capsys, "verify", "--claim", claim, *flags, "--output", str(out_path))
+        assert (code, err) == (0, "")
+        assert out_path.exists()
+
     @pytest.mark.parametrize("claim", ["prop3", "prop4"])
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf", "1e-300"])
     def test_invalid_sigma_exit_2(self, capsys, claim, sigma):
@@ -953,6 +984,7 @@ class TestFlagRules:
         ("sweep", "--methods"): [["--methods", "jacobian,cvv"]],
         ("jackknife", "--methods"): [["--methods", "jacobian,cv", "--folds", "1"]],
         ("select", "--output"): [["--method", "silverman"]],
+        ("verify", "--claim"): [["--trials", "5"]],
     }
 
     def test_one_case_per_rule(self):
@@ -1030,7 +1062,7 @@ class TestFlagRules:
     @pytest.mark.parametrize("argv", [
         ["verify", "--claim", "prop2", "--n", "2", "--sigma", "0.5", "--trials", "5"],
         ["verify", "--claim", "bermanis", "--n", "2", "--sigma", "0.5"],
-        ["verify", "--claim", "prop3", "--n", "2"],
+        ["verify", "--claim", "prop3", "--sigma", "0.5"],  # prop3 reads no --n (test_unread_flag_exit_2)
         ["select", "--input", "{data}", "--method", "jacobian", "--folds", "1"],
         ["fit", "--input", "{data}", "--sigma", "0.5", "--folds", "1", "--output", "{model}"],
     ], ids=["prop2-sigma", "bermanis-sigma", "prop3", "select-jacobian", "fit-sigma"])

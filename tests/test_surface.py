@@ -13,6 +13,9 @@ one module that reads their ``info`` codes. The CLI's flag checks are the rows
 of one table, so no command raises a flag error of its own. scipy and the
 process pool load only when used: on the first factorization (before a pool
 forks, so workers inherit it) and on the first run on more than one worker.
+The first factorization loads scipy's LAPACK extension, ``scipy.linalg._flapack``,
+from its file rather than importing ``scipy.linalg``, and its routines are the
+very objects ``scipy.linalg.lapack`` exports, whichever is imported first.
 """
 
 import ast
@@ -174,13 +177,68 @@ def test_commands_that_never_factor_load_no_scipy(tmp_path):
 def test_pool_parent_imports_lapack_before_forking(tmp_path):
     result = _fresh("""
         import json, sys
-        from gkrr import evaluate
+        from gkrr import evaluate, linalg
         before = "scipy" in sys.modules
         evaluate.run_sweep("n", [10, 12], fixed_lambda=1e-3, repeats=2, test_size=20,
                            methods=("jacobian",), threads=2)
-        print(json.dumps([before, "scipy.linalg.lapack" in sys.modules]))
+        print(json.dumps([before, "scipy.linalg._flapack" in sys.modules,
+                          linalg.load_lapack.cache_info().currsize]))
     """, tmp_path)
-    assert result == [False, True]
+    assert result == [False, True, 1]
+
+
+@pytest.mark.parametrize("scipy_first", [False, True], ids=["loader-first", "scipy-first"])
+def test_loader_returns_scipys_own_routines(tmp_path, scipy_first):
+    result = _fresh(f"""
+        import json, sys
+        if {scipy_first}:
+            import scipy.linalg.lapack
+        from gkrr import linalg
+        lapack = linalg.load_lapack()
+        linalg_before = "scipy.linalg" in sys.modules
+        import scipy.linalg.lapack
+        flapack = sys.modules["scipy.linalg._flapack"]
+        same = [getattr(lapack, f) is getattr(scipy.linalg.lapack, f) is getattr(flapack, f)
+                for f in ("dposv", "dpotrf", "dpotrs")]
+        print(json.dumps([linalg_before, lapack is flapack, same]))
+    """, tmp_path)
+    # loaded first, the loader returns the extension itself, and scipy.linalg reuses it
+    assert result == [scipy_first, not scipy_first, [True, True, True]]
+
+
+_FIT_ALPHA = """
+    import json
+    import scipy
+    {patch}
+    import gkrr
+    lapack = gkrr.linalg.load_lapack()
+    alpha = gkrr.fit(gkrr.generate_synthetic(60, 0.1, seed=3), 0.4, 1e-3).alpha
+    print(json.dumps([lapack.__name__, alpha.tobytes().hex()]))
+"""
+
+
+def test_loader_falls_back_to_scipy_linalg_without_the_extension_file(tmp_path):
+    # a fresh interpreter, so load_lapack's cache is empty; the loader looks for
+    # _flapack beside scipy.__file__, here a directory without it
+    direct = _fresh(_FIT_ALPHA.format(patch=""), tmp_path)
+    fallback = _fresh(_FIT_ALPHA.format(patch=f"scipy.__file__ = {str(tmp_path / '__init__.py')!r}"),
+                      tmp_path)
+    assert [direct[0], fallback[0]] == ["scipy.linalg._flapack", "scipy.linalg.lapack"]
+    assert fallback[1] == direct[1]
+
+
+def test_fit_and_cv_load_lapack_without_scipy_linalg(tmp_path):
+    gkrr.write_csv(gkrr.generate_synthetic(30, 0.1, seed=1), tmp_path / "d.csv")
+    result = _fresh("""
+        import json, sys
+        from gkrr.cli import main
+        codes = [main(argv.split()) for argv in (
+            "fit --input d.csv --method jacobian --output m.csv",
+            "select --input d.csv --method cv",
+        )]
+        print(json.dumps([codes, "scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules]))
+    """, tmp_path)
+    assert result == [[0, 0], False, True]
 
 
 def test_first_factorization_reports_pivot(tmp_path):
