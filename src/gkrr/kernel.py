@@ -1,22 +1,11 @@
 """Gaussian kernel evaluation, kernel matrices, and the data diameter.
 
-Point sets are (n x p) feature matrices, checked by ``data.as_features``: a
-1-D array is rejected, not read as one point. Distance matrices use the
-expanded form (||a||^2 + ||b||^2) - 2 a.b with small negatives clamped to
-zero; the one-query kernel row behind the gradient uses x - x_i. The
-symmetric kernel matrix (``B=None``) mirrors its upper triangle, so it is
-exactly symmetric with a unit diagonal.
-
-Buffers: ``pairwise_sq_dists`` of m x n takes two m x n buffers (result and
-Gram product). ``_sq_dist_blocks`` calls it on _ROW_BLOCK rows at a time, so a
-block takes two _ROW_BLOCK x n. The diameter and predict hold one block at a
-time, fit and the symmetric ``kernel_matrix`` one block and the n x n matrix.
-
-Every kernel matrix, row and CV stack exponentiates through ``_exp``; only
-the radial ``kernel_gradient_norm`` calls np.exp. Below about -745.13 np.exp
-returns exactly 0, but at 6-19 ns an entry against 1.4 ns for a normal one,
-so ``_exp`` writes those zeros itself when a sample of entries shows any;
-subnormal results are still computed.
+Point sets are (n x p) feature matrices, checked by ``data.as_features``.
+Distance matrices use the expanded form (||a||^2 + ||b||^2) - 2 a.b clamped
+at zero; the one-query kernel row behind the gradient uses x - x_i. A block
+of ``_sq_dist_blocks`` takes two _ROW_BLOCK x n buffers (result and Gram
+product). Every kernel exponentiates through ``_exp``, except the radial
+``kernel_gradient_norm``.
 """
 
 from __future__ import annotations
@@ -48,9 +37,7 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = as_features(A)
     B = as_features(B)
     if A.shape[1] != B.shape[1]:
-        raise ValueError(
-            f"column mismatch: A has {A.shape[1]} columns, B has {B.shape[1]}"
-        )
+        raise ValueError(f"column mismatch: A has {A.shape[1]} columns, B has {B.shape[1]}")
     d2 = np.add.outer(np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B))
     G = A @ B.T
     G *= 2.0
@@ -83,9 +70,7 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 def _exp_neg_scaled(d2: np.ndarray, sigma: float) -> np.ndarray:
     """exp(-d2 / (2 sigma^2)) computed in d2's buffer, which is returned."""
-    np.negative(d2, out=d2)
-    d2 /= 2.0 * sigma * sigma
-    return _exp(d2)
+    return _exp(np.divide(d2, -(2.0 * sigma * sigma), out=d2))
 
 
 def _kernel_upper(X: np.ndarray, sigma: float) -> np.ndarray:
@@ -119,21 +104,35 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray | None = None, sigma: float = 1.0
 
 
 def max_pairwise_distance(X: np.ndarray) -> float:
-    """Diameter of the point set: max over pairs of ||x_i - x_j||_2.
+    """Diameter of the point set: max over pairs i != j of ||x_i - x_j||_2.
 
-    0 for a single point or when all rows coincide; ValueError for non-finite
-    features. Takes the same bits as sqrt(pairwise_sq_dists(X, X).max()),
-    one block of the upper triangle at a time.
+    0 for a single point; ValueError for non-finite features. A computed d2 is
+    within delta = (2p + 4) (2 eps max_i |x_i|^2 + 2^-1074) of its exact value
+    (the expanded form's first-order error, (2p + 3) eps (|x_i|^2 + |x_j|^2),
+    plus an underflow per product). Two farthest-point passes give rows a, b at
+    computed d2 L2 <= diameter^2 + delta; with c = (a + b) / 2 and
+    r2_i = |x_i - c|^2, a pair has |x_i - x_j| <= r_i + r_max, so dropping row i
+    only when (sqrt(r2_i + delta) + sqrt(r2_max + delta))^2 (1 + 8 eps) + 3 delta
+    < L2 keeps both rows of an exactly farthest pair. The kept rows take the full
+    matrix's upper-triangle block max: the result's square is within delta of
+    the exact diameter's, so coincident rows give at most sqrt(delta).
     """
     X = as_features(X)
     if X.shape[0] < 1:
         raise ValueError("need at least one row")
     if not np.isfinite(X).all():
         raise ValueError("features contain non-finite values: the diameter is undefined")
-    if X.shape[0] == 1:
-        return 0.0
+    a = X[np.argmax(pairwise_sq_dists(X, X[:1]))]
+    from_a = pairwise_sq_dists(X, a[None])[:, 0]
+    b = X[np.argmax(from_a)]
+    r2 = pairwise_sq_dists(X, 0.5 * (a + b)[None])[:, 0]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    delta = (2 * X.shape[1] + 4) * (2.0 * eps * float(np.einsum("ij,ij->i", X, X).max()) + tiny)
+    reach = (np.sqrt(r2 + delta) + math.sqrt(r2.max() + delta)) ** 2 * (1 + 8 * eps) + 3 * delta
+    kept = X[reach >= from_a.max()]
     best = 0.0
-    for _, d2 in _sq_dist_blocks(X, X, upper=True):
+    for _, d2 in _sq_dist_blocks(kept, kept, upper=True):
+        np.fill_diagonal(d2, 0.0)  # a row's own d2 is 0, whatever the expanded form rounds it to
         best = max(best, float(d2.max()))
         del d2
     return math.sqrt(best)

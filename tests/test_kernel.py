@@ -162,6 +162,36 @@ class TestExp:
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
+def diameter_all_pairs(X):
+    """The unpruned diameter: the largest entry of every 256-row block of the
+    distance matrix's upper triangle."""
+    best = 0.0
+    for i in range(0, len(X), 256):
+        best = max(best, float(pairwise_sq_dists(X[i : i + 256], X[i:]).max()))
+    return math.sqrt(best)
+
+
+def cloud(shape, n, p, offset, spread, seed):
+    """n x p points: uniform, duplicated rows, collinear, or on a sphere about
+    the origin (kept as +-v pairs, so no row is pruned), scaled by spread and
+    shifted by offset in every coordinate."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (n, p))
+    if shape == "duplicates":
+        X = X[rng.integers(0, max(1, n // 4), n)]
+    elif shape == "collinear":
+        X = rng.uniform(-1.0, 1.0, (n, 1)) * rng.uniform(-1.0, 1.0, p)
+    elif shape == "sphere":
+        V = rng.normal(size=((n + 1) // 2, p))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        X = np.vstack([V, -V])[:n]
+    return X * spread + offset
+
+
+SHAPES = st.sampled_from(["uniform", "duplicates", "collinear", "sphere"])
+SIZES = st.sampled_from([1, 2, 3, 17, 255, 257, 600])
+
+
 class TestMaxPairwiseDistance:
     def test_1d_points(self):
         assert max_pairwise_distance(np.array([[0.0], [1.0], [3.0]])) == 3.0
@@ -203,6 +233,38 @@ class TestMaxPairwiseDistance:
         for seed in range(4):
             X = np.random.default_rng([seed, p, n]).uniform(-5.0, 5.0, (n, p))
             assert max_pairwise_distance(X) == math.sqrt(pairwise_sq_dists(X, X).max())
+
+    @given(SHAPES, SIZES, st.integers(1, 5), st.integers(-10**6, 10**6),
+           st.integers(1, 1000), st.integers(0, 2**32 - 1))
+    @example("uniform", 600, 3, 1000, 1, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_integer_points_take_the_all_pairs_bits(self, shape, n, p, offset, spread, seed):
+        # integer coordinates up to about 1e6 keep every norm and Gram sum an
+        # integer below 2^53, so each expanded-form d2 is exact and the kept
+        # blocks hold the all-pairs maximum, whichever rows are pruned
+        X = np.round(cloud(shape, n, p, offset, spread, seed))
+        assert max_pairwise_distance(X) == diameter_all_pairs(X)
+
+    @given(SHAPES, SIZES, st.integers(1, 5), st.sampled_from([0.0, 1.0, -1e3, 1e6]),
+           st.sampled_from([1e-160, 1e-3, 1.0, 10.0]), st.integers(0, 2**32 - 1))
+    @example("uniform", 600, 3, 1e3, 1e-3, 0)
+    @example("sphere", 600, 5, 1e6, 1e-3, 1)
+    @example("uniform", 17, 1, 0.0, 1e-160, 2)  # squares underflow: 0 without delta's 2^-1074 term
+    @example("uniform", 1, 3, 1e3, 1.0, 2)  # the expanded form gives this row d2 = 9.3e-10 to itself
+    @settings(max_examples=60, deadline=None)
+    def test_real_points_within_the_documented_bound(self, shape, n, p, offset, spread, seed):
+        # the squared result is within delta = (2p + 4) (2 eps max |x_i|^2 +
+        # 2^-1074) of the exact squared diameter (taken in long double from
+        # differences), plus the rounding of the final sqrt
+        X = cloud(shape, n, p, offset, spread, seed)
+        Xl = X.astype(np.longdouble)
+        exact = max(((Xl - x) ** 2).sum(axis=1).max() for x in Xl)
+        info = np.finfo(float)
+        delta = (2 * p + 4) * (2.0 * info.eps * float((X * X).sum(axis=1).max()) + info.smallest_subnormal)
+        got = np.longdouble(max_pairwise_distance(X))
+        assert abs(got * got - exact) <= delta + 2 * info.eps * exact
+        if n == 1:
+            assert got == 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_features_rejected(self, bad):

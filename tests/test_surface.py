@@ -94,21 +94,34 @@ def test_only_bandwidth_builds_log_grids():
 
 
 def test_distance_blocks_go_through_pairwise_sq_dists(monkeypatch):
-    # the diameter, fit and predict take each 256-row block from it, so the
-    # tracer's kernel.pairwise_sq_dists counts their distance work
+    # the diameter, fit and predict take every distance from it, so the
+    # tracer's kernel.pairwise_sq_dists counts their distance work. The
+    # diameter makes three n x 1 calls (two farthest-point passes, the radii)
+    # and then one 256-row block per kept row block; on 1-D data it keeps
+    # the two end points
     from gkrr import kernel
 
     calls = []
     real = kernel.pairwise_sq_dists
-    monkeypatch.setattr(kernel, "pairwise_sq_dists", lambda A, B: calls.append(1) or real(A, B))
+    monkeypatch.setattr(kernel, "pairwise_sq_dists", lambda A, B: calls.append((len(A), len(B))) or real(A, B))
     data = gkrr.generate_synthetic(600, 0.1, seed=2)
     gkrr.select_jacobian(data.features, 1e-3)
     diameter = len(calls)
+    kept = calls[3][1]
+    assert calls[:3] == [(600, 1)] * 3 and kept == 2
+    assert diameter == 3 + math.ceil(kept / 256) and sum(rows for rows, _ in calls[3:]) == kept
     model = gkrr.fit(data, 0.5, 1e-3)
     fit = len(calls) - diameter
     gkrr.predict(model, np.linspace(-5.0, 5.0, 700).reshape(-1, 1))
     predict = len(calls) - diameter - fit
-    assert (diameter, fit, predict) == (math.ceil(600 / 256), math.ceil(600 / 256), math.ceil(700 / 256))
+    assert (fit, predict) == (math.ceil(600 / 256), math.ceil(700 / 256))
+
+    def refuse(A, B):
+        raise RuntimeError("distance taken outside pairwise_sq_dists' count")
+
+    monkeypatch.setattr(kernel, "pairwise_sq_dists", refuse)
+    with pytest.raises(RuntimeError, match="outside"):
+        gkrr.select_jacobian(data.features, 1e-3)
 
 
 def test_only_linalg_calls_lapack_cholesky():
