@@ -180,21 +180,29 @@ def check_selects(methods, n: int, folds: int = DEFAULT_FOLDS, grid_size: int = 
             raise ValueError(f"Jacobian selection needs n >= 3, got {n}")
 
 
+def _selectable(method: str, X, *cv) -> np.ndarray:
+    """as_features, check_selects for ``method`` and ``cv``; ValueError on identical or oversized rows."""
+    X = as_features(X)
+    check_selects((method,), len(X), *cv)
+    if (X == X[0]).all() and np.isfinite(X[0]).all():  # exact; non-finite rows keep their errors
+        raise ValueError(f"all rows identical: {len(X)} copies of one row, no spread to select from")
+    if math.isinf(4.0 * float(np.einsum("ij,ij->i", X, X).max())) and np.isfinite(X).all():
+        raise ValueError("features too large to square: distances overflow once a row norm reaches 6.7e153")
+    return X
+
+
 def select_jacobian(X: np.ndarray, lam: float) -> BandwidthResult:
     """Jacobian-control selection on a feature matrix.
 
     Returns sigma_0(lambda); above the threshold 2 n e^(-3/2) it returns
     sigma_0 evaluated at the threshold with ``clamped`` set.
     """
-    X = as_features(X)
-    check_selects((METHOD_JACOBIAN,), len(X))
+    X = _selectable(METHOD_JACOBIAN, X)
     return _jacobian_closed_form(*X.shape, max_pairwise_distance(X), lam)
 
 
 def _jacobian_closed_form(n: int, p: int, l_max: float, lam: float) -> BandwidthResult:
     """select_jacobian's result for ``n`` rows in ``p`` dimensions of diameter ``l_max``."""
-    if l_max <= 0.0:
-        raise ValueError("all rows identical: l_max = 0")
     params = JacobianParams(n=n, p=p, l_max=l_max, lam=lam)
     regime = classify_regime(n, lam)
     clamped = regime is Regime.MONOTONE
@@ -209,12 +217,9 @@ def select_silverman(X: np.ndarray) -> BandwidthResult:
     sigma_hat is the square root of the mean per-coordinate sample variance
     (n-1 denominator), one scalar regardless of p. Blind to lambda and y.
     """
-    X = as_features(X)
+    X = _selectable(METHOD_SILVERMAN, X)
     n, p = X.shape
-    check_selects((METHOD_SILVERMAN,), n)
     sigma_hat = math.sqrt(float(np.mean(np.var(X, axis=0, ddof=1))))
-    if sigma_hat <= 0.0:
-        raise ValueError("zero-variance features: Silverman's rule is undefined")
     factor = (4.0 / (n * (p + 2))) ** (1.0 / (p + 4))
     return BandwidthResult(sigma=factor * sigma_hat, method=METHOD_SILVERMAN)
 
@@ -273,7 +278,7 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
 def _run_cv(data: Dataset, d2: np.ndarray, lam: float, folds: int, grid: np.ndarray,
             seed: int, method: str) -> BandwidthResult:
     """CV over the ascending, finite ``grid``; ``d2`` is pairwise_sq_dists(X, X),
-    negated in place. The callers check ``folds`` and ``data.n`` with check_selects."""
+    negated in place. The callers check ``folds`` and ``data.n`` with _selectable."""
     check_sigma(grid[0])  # an underflowing 2 sigma^2 makes a nan loss, which argmin picks
     lam = check_lambda(lam)
     losses = _cv_mean_losses(data, np.negative(d2, out=d2), lam, folds, grid, seed)
@@ -303,14 +308,14 @@ def select_cv(
     ``grid_min``). Deterministic given (data, seed). The distances are
     computed once, for both the diameter and the CV kernels.
     """
-    check_selects((METHOD_CV,), data.n, folds, grid_size, grid_min)
+    _selectable(METHOD_CV, data.features, folds, grid_size, grid_min)
     if grid_max is not None and not grid_min <= grid_max < math.inf:
         raise ValueError(f"grid_max must be finite and >= grid_min={grid_min}, got {grid_max}")
     d2 = pairwise_sq_dists(data.features, data.features)
     if grid_max is None:
         grid_max = math.sqrt(float(d2.max()))
-        if grid_max <= 0.0:
-            raise ValueError("all rows identical: cannot build the default CV grid")
+        if grid_max <= 0.0:  # distinct rows whose expanded-form distances all round to 0
+            raise ValueError("pairwise distances all round to 0: cannot build the default CV grid")
     grid = default_cv_grid(max(grid_min, grid_max), grid_size, min(grid_min, grid_max))
     return _run_cv(data, d2, lam, folds, grid, seed, METHOD_CV)
 
@@ -328,7 +333,7 @@ def select_seeded_cv(
     diameter from the distances CV uses. The degenerate grid_size=1 uses
     {sigma_0}, the geometric midpoint.
     """
-    check_selects((METHOD_SEEDED_CV,), data.n, folds, grid_size)
+    _selectable(METHOD_SEEDED_CV, data.features, folds, grid_size)
     d2 = pairwise_sq_dists(data.features, data.features)
     sigma0 = _jacobian_closed_form(data.n, data.p, math.sqrt(float(d2.max())), lam).sigma
     grid = np.array([sigma0]) if grid_size == 1 else default_cv_grid(5.0 * sigma0, grid_size, sigma0 / 5.0)

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import press_loo_loss
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gkrr
@@ -102,6 +103,10 @@ class TestJacobianParams:
     def test_zero_diameter_rejected(self):
         with pytest.raises(ValueError, match="l_max"):
             JacobianParams(n=5, p=1, l_max=0.0, lam=0.0)
+
+    def test_p_below_one_rejected(self):
+        with pytest.raises(ValueError, match="need p >= 1, got 0"):
+            JacobianParams(n=5, p=0, l_max=1.0, lam=0.0)
 
     def test_spread(self):
         assert JacobianParams(n=10, p=1, l_max=1.0, lam=0.0).spread == 8.0
@@ -296,7 +301,7 @@ class TestSelectSilverman:
         assert a.sigma == b.sigma
 
     def test_constant_features_rejected(self):
-        with pytest.raises(ValueError, match="variance"):
+        with pytest.raises(ValueError, match="all rows identical"):
             select_silverman(np.ones((10, 1)))
 
     def test_n_one_rejected(self):
@@ -657,3 +662,90 @@ class TestRowPermutation:
         want = predict(fit(data, sigma, lam), Q)
         got = predict(fit(shuffled, sigma, lam), Q)
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+def each_selector(X, folds=3, grid_size=5):
+    """The four public selectors on ``X`` (responses 0..n-1, lambda 1e-3), by method name."""
+    data = Dataset(X, np.arange(len(X), dtype=float))
+    return {"jacobian": lambda: select_jacobian(X, 1e-3), "silverman": lambda: select_silverman(X),
+            "cv": lambda: select_cv(data, 1e-3, folds, grid_size),
+            "seeded-cv": lambda: select_seeded_cv(data, 1e-3, folds, grid_size)}
+
+
+def raised(call) -> str:
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+class TestDistinctRows:
+    """Every selector refuses rows that are all identical, decided exactly at
+    any offset, and rows too large to square, with one text each."""
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4), st.integers(3, 40))
+    @example([-4.83, 3.13, 4.13], 40)  # the expanded form gave this cloud a diameter of 1.19e-7
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_row_refused_by_every_selector(self, row, n):
+        X = np.tile(row, (n, 1))
+        texts = {raised(call) for call in each_selector(X).values()}
+        assert texts == {f"all rows identical: {n} copies of one row, no spread to select from"}
+
+    @given(st.integers(1, 4), st.integers(3, 40), st.floats(-1e6, 1e6), st.floats(-3.0, 3.0),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_spread_cloud_selected_by_every_selector(self, p, n, offset, log_spread, seed):
+        spread = max(10.0**log_spread, 1e-3 * abs(offset))
+        X = offset + spread * np.random.default_rng(seed).uniform(-1.0, 1.0, (n, p))
+        for call in each_selector(X, folds=min(n, 5)).values():
+            assert call().sigma > 0.0
+
+    def test_explicit_cv_grid_refused_on_identical_rows(self):
+        # the grid_max the data cannot tell from any other bandwidth is not returned
+        data = Dataset(np.ones((6, 2)), np.arange(6.0))
+        with pytest.raises(ValueError, match="all rows identical"):
+            select_cv(data, 1e-3, folds=2, grid_size=3, grid_max=1.0)
+
+    def test_rows_one_ulp_apart_at_1e6(self):
+        # distinct rows, so past the entry check; their expanded-form distances
+        # round to 0, which centring (ROADMAP item 2) would mend
+        X = np.array([[1e6], [np.nextafter(1e6, 2e6)], [1e6]])
+        texts = {method: raised(call) for method, call in each_selector(X).items() if method != "silverman"}
+        assert texts == {"jacobian": "l_max must be finite and > 0, got 0.0",
+                         "cv": "pairwise distances all round to 0: cannot build the default CV grid",
+                         "seeded-cv": "l_max must be finite and > 0, got 0.0"}
+        assert 0.0 < select_silverman(X).sigma < 1e-10
+
+    def test_features_too_large_to_square_refused(self):
+        # 4 max_i |x_i|^2 overflows: the expanded form would read inf - inf = nan as a distance
+        X = np.array([[1e154], [-1e154], [0.0]])
+        texts = {raised(call) for call in each_selector(X).values()}
+        assert texts == {"features too large to square: distances overflow once a row norm reaches 6.7e153"}
+        below = each_selector(X * 1e-4)
+        assert below["jacobian"]().sigma == pytest.approx(9.0e149, rel=1e-3)
+        assert below["cv"]().cv_curve[-1][0] == pytest.approx(2e150, rel=1e-15)  # the diameter ends the grid
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_features_keep_their_errors(self, bad):
+        for X in (np.array([[0.0], [bad], [1.0]]), np.full((3, 1), bad)):
+            with pytest.raises(ValueError, match="non-finite values: the diameter is undefined"):
+                select_jacobian(X, 1e-3)
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="got nan"):
+                select_silverman(X)
+
+
+def test_one_entry_check_for_every_selector():
+    # the first statement after each public selector's docstring is the entry
+    # check, and none calls check_selects itself
+    tree = ast.parse(Path(bandwidth.__file__).read_text(encoding="utf-8"))
+    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for name in ("select_jacobian", "select_silverman", "select_cv", "select_seeded_cv"):
+        first = defs[name].body[1 if ast.get_docstring(defs[name]) else 0]
+        assert isinstance(first.value, ast.Call) and first.value.func.id == "_selectable", name
+        assert "check_selects" not in {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}, name
+
+
+def test_only_the_entry_check_writes_all_rows_identical():
+    where = [path.name for path in sorted(Path(gkrr.__file__).parent.glob("*.py"))
+             for _ in range(path.read_text(encoding="utf-8").count("all rows identical"))]
+    assert where == ["bandwidth.py"]
+    assert "all rows identical" in inspect.getsource(bandwidth._selectable)

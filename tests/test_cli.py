@@ -44,18 +44,15 @@ class TestSelect:
     def test_silverman_zero_variance_exit_3(self, capsys, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("1,0\n1,1\n1,2\n")
-        code, _, err = run_cli(
-            capsys, "select", "--input", str(path), "--method", "silverman",
-        )
-        assert code == 3
-        assert "variance" in err
+        assert run_cli(capsys, "select", "--input", str(path), "--method", "silverman") == (
+            3, "", "gkrr: error: all rows identical: 3 copies of one row, no spread to select from\n")
 
     def test_cv_identical_rows_exit_3(self, capsys, tmp_path):
-        # one feature value on every row: no diameter to end the default grid
+        # one feature value on every row: refused before any grid is built
         path = tmp_path / "same.csv"
         path.write_text("".join(f"1,{i}\n" for i in range(12)))
         assert run_cli(capsys, "select", "--input", str(path), "--method", "cv", "--folds", "2") == (
-            3, "", "gkrr: error: all rows identical: cannot build the default CV grid\n")
+            3, "", "gkrr: error: all rows identical: 12 copies of one row, no spread to select from\n")
 
     def test_cv_deterministic_output(self, capsys, tmp_path):
         data = generate_synthetic(25, 0.1, seed=3)

@@ -28,6 +28,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="rows"):
             Dataset(np.zeros((3, 1)), np.zeros(2))
 
+    def test_two_d_response_rejected(self):
+        with pytest.raises(ValueError, match="response must be 1-D, got ndim=2"):
+            Dataset(np.zeros((3, 1)), np.zeros((3, 1)))
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("need at least one row, got shape (0, 1)")):
+            Dataset(np.empty((0, 1)), np.empty(0))
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(np.array([[np.nan]]), np.array([0.0]))

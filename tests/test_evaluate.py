@@ -335,6 +335,16 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="repeats"):
             run_sweep(AXIS_N, [10], fixed_lambda=0.0, repeats=1)
 
+    def test_empty_axis_rejected(self):
+        with pytest.raises(ValueError, match="axis_values is empty"):
+            run_sweep(AXIS_N, [], fixed_lambda=1e-3)
+
+    def test_fraction_without_data_rejected(self):
+        # a fraction of rows that are drawn per replicate has no fixed count
+        with pytest.raises(ValueError, match="fractional test_size needs a concrete dataset"):
+            run_sweep(AXIS_N, [10], fixed_lambda=1e-3, repeats=2, test_size=0.25,
+                      methods=("jacobian",))
+
     @pytest.mark.parametrize("axis, values, kw", [
         (AXIS_N, [10, 12], dict(fixed_lambda=-1.0)),
         (AXIS_N, [10], dict(fixed_lambda=math.inf)),

@@ -202,6 +202,10 @@ class TestMaxPairwiseDistance:
     def test_identical_points(self):
         assert max_pairwise_distance(np.ones((5, 2))) == 0.0
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="need at least one row"):
+            max_pairwise_distance(np.empty((0, 2)))
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(100, 3))

@@ -308,7 +308,8 @@ class TestSerialization:
         (7, "nan", "model contains non-finite"),
         (1, "2,1,-0.5,0", "sigma must be finite and > 0"),
         (1, "2,1,0.5,-1", "lambda must be finite and >= 0"),
-    ], ids=["feature-inf", "alpha-nan", "sigma-negative", "lambda-negative"])
+        (2, "#features", "expected '#train_features' tag on line 3"),
+    ], ids=["feature-inf", "alpha-nan", "sigma-negative", "lambda-negative", "train-features-tag"])
     def test_load_model_names_file_with_invalid_values(self, tmp_path, line, text, message):
         path = tmp_path / "model.csv"
         save_model(KrrModel(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]), 0.5, 0.0), path)

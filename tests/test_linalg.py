@@ -6,7 +6,7 @@ import pytest
 
 import gkrr
 from gkrr.kernel import kernel_matrix
-from gkrr.linalg import FactorizationError, _factor_solve, factor_spd, solve
+from gkrr.linalg import FactorizationError, _check_info, _factor_solve, factor_spd, solve
 
 
 def gaussian_elimination_solve(A, b):
@@ -70,6 +70,15 @@ class TestFactorSpd:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             factor_spd(np.eye(2), -1.0)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("K must be square, got shape (2, 3)")):
+            factor_spd(np.zeros((2, 3)), 0.0)
+
+    def test_negative_info_is_a_bad_argument(self):
+        # LAPACK's info < 0 names an argument, not a pivot: ValueError, not FactorizationError
+        with pytest.raises(ValueError, match="^invalid argument 4 passed to dpotrf$"):
+            _check_info(-4, 0.0, "dpotrf")
 
 
 class TestSolve:

@@ -126,6 +126,10 @@ class TestProp2Chain:
         b = check_prop2_chain(data, 0.5, 1e-3, trials=10, seed=9)
         assert a == b
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            check_prop2_chain(generate_synthetic(8, 0.1, seed=4), 0.5, 1e-3, trials=0)
+
 
 class TestProp3GradMax:
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
