@@ -219,7 +219,8 @@ def select_silverman(X: np.ndarray) -> BandwidthResult:
     """
     X = _selectable(METHOD_SILVERMAN, X)
     n, p = X.shape
-    sigma_hat = math.sqrt(float(np.mean(np.var(X, axis=0, ddof=1))))
+    k = math.frexp(float(np.abs(X).max()))[1]  # |X| / 2^k < 1, so no square overflows; 2^k is exact
+    sigma_hat = math.ldexp(math.sqrt(float(np.mean(np.var(np.ldexp(X, -k), axis=0, ddof=1)))), k)
     factor = (4.0 / (n * (p + 2))) ** (1.0 / (p + 4))
     return BandwidthResult(sigma=factor * sigma_hat, method=METHOD_SILVERMAN)
 
@@ -253,7 +254,8 @@ def _cv_mean_losses(data: Dataset, neg_d2: np.ndarray, lam: float, folds: int,
     plans = make_kfold(n, folds, seed)
     totals, block = np.zeros(len(grid)), max(1, _CV_STACK_FLOATS // n**2)
     for start in range(0, len(grid), block):
-        E = _exp(neg_d2 / (2.0 * grid[start : start + block, None, None] ** 2)).reshape(-1, n * n)
+        with np.errstate(over="ignore"):  # a quotient at -inf has exp's exact 0
+            E = _exp(neg_d2 / (2.0 * grid[start : start + block, None, None] ** 2)).reshape(-1, n * n)
         stack = slice(start, start + len(E))
         for plan in plans:
             tr, te = plan.train_indices, plan.test_indices
@@ -280,6 +282,9 @@ def _run_cv(data: Dataset, d2: np.ndarray, lam: float, folds: int, grid: np.ndar
     """CV over the ascending, finite ``grid``; ``d2`` is pairwise_sq_dists(X, X),
     negated in place. The callers check ``folds`` and ``data.n`` with _selectable."""
     check_sigma(grid[0])  # an underflowing 2 sigma^2 makes a nan loss, which argmin picks
+    top = float(grid[-1])
+    if math.isinf(2.0 * top * top):  # an overflowing one makes every kernel entry 1
+        raise ValueError(f"CV grid bandwidth sigma={top} is too large: 2*sigma^2 overflows to inf")
     lam = check_lambda(lam)
     losses = _cv_mean_losses(data, np.negative(d2, out=d2), lam, folds, grid, seed)
     if np.all(np.isinf(losses)):

@@ -59,20 +59,9 @@ def _selects_error(args) -> str | None:
     return None
 
 
-# The flags each verify claim reads in cmd_verify, besides --claim and --output;
-# prop2 reads --noise-sd only at p = 1, where it draws the sine data
-_CLAIM_READS = {
-    verify.CLAIM_PROP1: ("--n", "--p", "--lmax", "--lambda"),
-    verify.CLAIM_PROP2: ("--n", "--p", "--seed", "--sigma", "--lambda", "--trials", "--noise-sd"),
-    verify.CLAIM_PROP3: ("--sigma",),
-    verify.CLAIM_PROP4: ("--n", "--p", "--lmax", "--seed", "--sigma", "--lambda"),
-}
-_CLAIM_READS[verify.CLAIM_BERMANIS] = (*_CLAIM_READS[verify.CLAIM_PROP4], "--delta")
-
-
 def _unread_verify_flag(args) -> str | None:
     """The error naming the first flag --claim does not read that is not at its default, or None."""
-    claim_reads = _CLAIM_READS[_CLAIM_FLAGS[args.claim]]
+    claim_reads = _CLAIMS[args.claim][0]
     reads = {*claim_reads, "--output"} - ({"--noise-sd"} if args.p > 1 else set())
     defaults = build_parser().parse_args(["verify", "--claim", args.claim])
     for dest, value in vars(args).items():
@@ -241,44 +230,45 @@ def cmd_jackknife(args) -> int:
     return 0
 
 
-_CLAIM_FLAGS = {claim.split("-")[0]: claim for claim in verify.CLAIMS}  # prop1-regimes -> prop1
+def _verify_sigma(args, X: np.ndarray) -> float:
+    """--sigma, else the Jacobian selection on the claim's rows."""
+    return bandwidth.select_jacobian(X, args.lam).sigma if args.sigma is None else args.sigma
 
 
-def _verify_points(args) -> np.ndarray:
+def _on_cloud(args, check) -> verify.BoundReport:
+    """check(X, sigma) on --n points, a linspace to --lmax at p = 1, else --lmax
+    times U[0,1]^p drawn from --seed, which the report records."""
+    X = (np.linspace(0.0, args.lmax, args.n).reshape(-1, 1) if args.p == 1
+         else args.lmax * np.random.default_rng(args.seed).uniform(0.0, 1.0, size=(args.n, args.p)))
+    return replace(check(X, _verify_sigma(args, X)), seed=args.seed)
+
+
+def _prop2(args) -> verify.BoundReport:
     if args.p == 1:
-        return np.linspace(0.0, args.lmax, args.n).reshape(-1, 1)
-    rng = np.random.default_rng(args.seed)
-    return args.lmax * rng.uniform(0.0, 1.0, size=(args.n, args.p))
+        data = generate_synthetic(args.n, args.noise_sd, args.seed)
+    else:
+        rng = np.random.default_rng(args.seed)
+        data = Dataset(rng.uniform(0.0, 1.0, size=(args.n, args.p)), rng.normal(0.0, 1.0, size=args.n))
+    sigma = _verify_sigma(args, data.features)
+    return verify.check_prop2_chain(data, sigma, args.lam, trials=args.trials, seed=args.seed)
+
+
+# Each verify claim by its --claim spelling: (the flags it reads besides --claim and
+# --output, its report from the args); prop2 reads --noise-sd at p = 1 only, for sine data
+_CLAIMS = {
+    "prop1": (("--n", "--p", "--lmax", "--lambda"), lambda a: verify.check_prop1_regimes(
+        bandwidth.JacobianParams(n=a.n, p=a.p, l_max=a.lmax, lam=a.lam))),
+    "prop2": (("--n", "--p", "--seed", "--sigma", "--lambda", "--trials", "--noise-sd"), _prop2),
+    "prop3": (("--sigma",), lambda a: verify.check_prop3_gradmax(1.0 if a.sigma is None else a.sigma)),
+    "prop4": (("--n", "--p", "--lmax", "--seed", "--sigma", "--lambda"),
+              lambda a: _on_cloud(a, lambda X, sigma: verify.check_prop4(X, sigma, a.lam))),
+    "bermanis": (("--n", "--p", "--lmax", "--seed", "--sigma", "--lambda", "--delta"),
+                 lambda a: _on_cloud(a, lambda X, sigma: verify.check_bermanis_count(X, sigma, a.delta))),
+}
 
 
 def cmd_verify(args) -> int:
-    claim = _CLAIM_FLAGS[args.claim]
-    sigma = args.sigma
-    if claim == verify.CLAIM_PROP1:
-        params = bandwidth.JacobianParams(n=args.n, p=args.p, l_max=args.lmax, lam=args.lam)
-        report = verify.check_prop1_regimes(params)
-    elif claim == verify.CLAIM_PROP2:
-        if args.p == 1:
-            data = generate_synthetic(args.n, args.noise_sd, args.seed)
-        else:
-            rng = np.random.default_rng(args.seed)
-            data = Dataset(rng.uniform(0.0, 1.0, size=(args.n, args.p)),
-                           rng.normal(0.0, 1.0, size=args.n))
-        if sigma is None:
-            sigma = bandwidth.select_jacobian(data.features, args.lam).sigma
-        report = verify.check_prop2_chain(data, sigma, args.lam,
-                                          trials=args.trials, seed=args.seed)
-    elif claim == verify.CLAIM_PROP3:
-        report = verify.check_prop3_gradmax(1.0 if sigma is None else sigma)
-    else:
-        X = _verify_points(args)
-        if sigma is None:
-            sigma = bandwidth.select_jacobian(X, args.lam).sigma
-        if claim == verify.CLAIM_PROP4:
-            report = verify.check_prop4(X, sigma, args.lam)
-        else:
-            report = verify.check_bermanis_count(X, sigma, args.delta)
-        report = replace(report, seed=args.seed)  # --seed draws X when p > 1
+    report = _CLAIMS[args.claim][1](args)
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"claim={report.claim} trials={report.trials} violations={report.violations} "
@@ -385,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_jackknife)
 
     p = sub.add_parser("verify", help="run a numerical bound check", **kw)
-    p.add_argument("--claim", required=True, choices=sorted(_CLAIM_FLAGS))
+    p.add_argument("--claim", required=True, choices=sorted(_CLAIMS))
     p.add_argument("--n", type=int, default=10, help="instance size")
     p.add_argument("--p", type=int, default=1, help="feature dimension")
     p.add_argument("--sigma", type=float, default=None,

@@ -45,13 +45,13 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _sq_dist_blocks(A: np.ndarray, B: np.ndarray, upper: bool = False):
-    """Yield (rows, pairwise_sq_dists(A[rows], B)) for blocks of _ROW_BLOCK rows
-    of A; with ``upper`` (A is B), only columns from rows.start on. A caller
-    that drops each block holds one at a time."""
-    for i in range(0, A.shape[0], _ROW_BLOCK):
+def _sq_dist_blocks(X: np.ndarray):
+    """Yield (rows, pairwise_sq_dists(X[rows], X[rows.start:])), the upper triangle
+    of X's distances in blocks of _ROW_BLOCK rows. A caller that drops each block
+    holds one at a time."""
+    for i in range(0, X.shape[0], _ROW_BLOCK):
         rows = slice(i, i + _ROW_BLOCK)
-        yield rows, pairwise_sq_dists(A[rows], B[i if upper else 0 :])
+        yield rows, pairwise_sq_dists(X[rows], X[i:])
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -70,13 +70,14 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 def _exp_neg_scaled(d2: np.ndarray, sigma: float) -> np.ndarray:
     """exp(-d2 / (2 sigma^2)) computed in d2's buffer, which is returned."""
-    return _exp(np.divide(d2, -(2.0 * sigma * sigma), out=d2))
+    with np.errstate(over="ignore"):  # a quotient at -inf has exp's exact 0
+        return _exp(np.divide(d2, -(2.0 * sigma * sigma), out=d2))
 
 
 def _kernel_upper(X: np.ndarray, sigma: float) -> np.ndarray:
     """n x n array with k(x_i, x_j), j >= i, in its upper triangle; the rest is scratch."""
     K = np.empty((X.shape[0], X.shape[0]))
-    for rows, d2 in _sq_dist_blocks(X, X, upper=True):
+    for rows, d2 in _sq_dist_blocks(X):
         K[rows, rows.start:] = _exp_neg_scaled(d2, sigma)
         del d2  # free this block before the next is built
     return K
@@ -131,7 +132,7 @@ def max_pairwise_distance(X: np.ndarray) -> float:
     reach = (np.sqrt(r2 + delta) + math.sqrt(r2.max() + delta)) ** 2 * (1 + 8 * eps) + 3 * delta
     kept = X[reach >= from_a.max()]
     best = 0.0
-    for _, d2 in _sq_dist_blocks(kept, kept, upper=True):
+    for _, d2 in _sq_dist_blocks(kept):
         np.fill_diagonal(d2, 0.0)  # a row's own d2 is 0, whatever the expanded form rounds it to
         best = max(best, float(d2.max()))
         del d2

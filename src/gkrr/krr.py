@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _freeze, as_features, format_table, read_table, write_text
-from .kernel import _exp_neg_scaled, _kernel_upper, _query_row, _sq_dist_blocks, check_sigma
+from .kernel import _ROW_BLOCK, _kernel_upper, _query_row, check_sigma, kernel_matrix
 from .linalg import FactorizationError, _factor_solve, check_lambda
 
 
@@ -82,9 +82,9 @@ def predict(model: KrrModel, X_new: np.ndarray) -> np.ndarray:
     if X_new.shape[1] != model.p:
         raise ValueError(f"X_new has {X_new.shape[1]} columns, model expects {model.p}")
     out = np.empty(X_new.shape[0])
-    for rows, d2 in _sq_dist_blocks(X_new, model.train_features):
-        out[rows] = _exp_neg_scaled(d2, model.sigma) @ model.alpha
-        del d2  # free this block before the next is built
+    for i in range(0, len(out), _ROW_BLOCK):
+        rows = slice(i, i + _ROW_BLOCK)
+        out[rows] = kernel_matrix(X_new[rows], model.train_features, model.sigma) @ model.alpha
     return out
 
 

@@ -35,7 +35,6 @@ CLAIM_PROP2 = "prop2-chain"
 CLAIM_PROP3 = "prop3-gradmax"
 CLAIM_PROP4 = "prop4-inverse-norm"
 CLAIM_BERMANIS = "bermanis-count"
-CLAIMS = (CLAIM_PROP1, CLAIM_PROP2, CLAIM_PROP3, CLAIM_PROP4, CLAIM_BERMANIS)
 
 _PROP1_GRID_POINTS = 1000
 _PROP1_SPAN = (1e-3, 1e3)  # times l_max

@@ -308,6 +308,21 @@ class TestSelectSilverman:
         with pytest.raises(ValueError):
             select_silverman(np.array([[1.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rows_near_the_square_limit_selected(self):
+        # np.var's sum of squares overflowed here, where Jacobian selects
+        X = np.array([[6e153], [-6e153], [0.0]] * 3 + [[1e153], [-1e153]])
+        assert select_silverman(X).sigma == pytest.approx(3.06e153, rel=1e-3)
+        assert select_jacobian(X, 1e-3).sigma == pytest.approx(6.0e152, rel=1e-3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("log2_scale, j", [(-90, 600), (80, -600)])
+    def test_power_of_two_scale_keeps_every_bit(self, log2_scale, j):
+        # 2^600 took the squares past the float range and 2^-600 into the
+        # subnormals, where they lost bits
+        X = np.random.default_rng(4).uniform(-1.0, 1.0, (60, 2)) * 2.0**log2_scale
+        assert select_silverman(X * 2.0**j).sigma == 2.0**j * select_silverman(X).sigma
+
 
 class TestSelectCv:
     def test_single_element_grid(self):
@@ -723,6 +738,26 @@ class TestDistinctRows:
         below = each_selector(X * 1e-4)
         assert below["jacobian"]().sigma == pytest.approx(9.0e149, rel=1e-3)
         assert below["cv"]().cv_curve[-1][0] == pytest.approx(2e150, rel=1e-15)  # the diameter ends the grid
+
+    @pytest.mark.filterwarnings("error")
+    def test_distances_overflowing_the_kernel_scale_run_quietly(self):
+        # d2 / (2 sigma^2) overflows to -inf at sigma = 0.01, and exp(-inf) = 0 is
+        # the kernel's exact value there
+        X = np.array([[1e153], [-1e153], [0.0], [5e152], [-5e152], [2e152]])
+        data = Dataset(X, np.arange(6.0))
+        assert select_cv(data, 1e-3, folds=3, grid_size=5).cv_curve[0][0] == 0.01
+        model = fit(data, 0.01, 1e-3)
+        np.testing.assert_allclose(predict(model, X), data.response / (1.0 + 1e-3), rtol=1e-15)
+
+    def test_cv_grid_whose_kernel_scale_overflows_refused(self):
+        # the default grid ends at the diameter 1.2e154, where 2 sigma^2 = inf
+        # made every kernel entry 1; an explicit grid_max is refused alike
+        X = np.array([[6e153], [-6e153], [0.0]] * 3 + [[1e153], [-1e153]])
+        text = "CV grid bandwidth sigma={} is too large: 2*sigma^2 overflows to inf"
+        assert raised(each_selector(X)["cv"]) == text.format(1.2e154)
+        data = Dataset(X, np.arange(11.0))
+        assert raised(lambda: select_cv(data, 1e-3, 3, 5, grid_max=9.5e153)) == text.format(9.5e153)
+        assert select_cv(data, 1e-3, 3, 5, grid_max=9.4e153).cv_curve[-1][0] == 9.4e153
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_features_keep_their_errors(self, bad):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gkrr import evaluate
-from gkrr.cli import _FLAG_RULES, build_parser, main
+from gkrr.cli import _CLAIMS, _FLAG_RULES, build_parser, main
 from gkrr.data import generate_synthetic, load_csv, write_csv
 
 
@@ -53,6 +53,15 @@ class TestSelect:
         path.write_text("".join(f"1,{i}\n" for i in range(12)))
         assert run_cli(capsys, "select", "--input", str(path), "--method", "cv", "--folds", "2") == (
             3, "", "gkrr: error: all rows identical: 12 copies of one row, no spread to select from\n")
+
+    def test_cv_grid_whose_kernel_scale_overflows_exit_3(self, capsys, tmp_path):
+        # the default grid would end at the diameter 1.2e154, where 2 sigma^2 = inf
+        path = tmp_path / "big.csv"
+        rows = [6e153, -6e153, 0.0] * 3 + [1e153, -1e153]
+        path.write_text("".join(f"{x!r},{i % 3}\n" for i, x in enumerate(rows)))
+        assert run_cli(capsys, "select", "--input", str(path), "--method", "cv", "--folds", "3",
+                       "--grid-size", "5") == (
+            3, "", "gkrr: error: CV grid bandwidth sigma=1.2e+154 is too large: 2*sigma^2 overflows to inf\n")
 
     def test_cv_deterministic_output(self, capsys, tmp_path):
         data = generate_synthetic(25, 0.1, seed=3)
@@ -1004,6 +1013,19 @@ class TestFlagRules:
         exit_2 = text.split("Exit codes:", 1)[1].split("2 input error", 1)[1]
         exit_2 = exit_2.split("3 computation error", 1)[0]
         assert set(re.findall(r"`(--[a-z-]+)`", exit_2)) == {rule[1] for rule in _FLAG_RULES}
+
+    def test_readme_claim_sentence_names_each_claims_flags(self):
+        # README's per-claim sentence and cli._CLAIMS cannot drift, and every
+        # flag a claim reads is one of verify's
+        text = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+        sentence = text.split("Each `verify` claim reads only some of `verify`'s flags:", 1)[1]
+        sentence = sentence.split("Every claim writes", 1)[0]
+        readme = {claim: set(re.findall(r"`(--[a-z-]+)`", flags))
+                  for claim, flags in re.findall(r"`([a-z0-9]+)` reads ([^;]*)", sentence)}
+        assert readme == {claim: set(flags) for claim, (flags, _) in _CLAIMS.items()}
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        registered = {flag for action in sub.choices["verify"]._actions for flag in action.option_strings}
+        assert set().union(*(flags for flags, _ in _CLAIMS.values())) <= registered
 
     @pytest.mark.parametrize("argv, message", [
         (["--axis", "lambda", "--values", "0.1", "--n", "0", "--methods", "jacobian"],

@@ -8,6 +8,7 @@ from conftest import complex_step_gradient, jacobi_eigenvalues
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkrr import krr
 from gkrr.data import Dataset, generate_synthetic
 from gkrr.kernel import kernel_matrix, max_pairwise_distance
 from gkrr.krr import KrrModel, fit, gradient, load_model, predict, save_model
@@ -140,6 +141,14 @@ class TestPredict:
             Q = rng.uniform(-5.0, 5.0, (m, 2))
             ref = kernel_matrix(Q, X, model.sigma) @ model.alpha
             np.testing.assert_allclose(predict(model, Q), ref, rtol=1e-13)
+
+    def test_each_block_is_a_kernel_matrix(self, monkeypatch):
+        # one kernel_matrix call per 256 query rows, so a tracer of it sees predict
+        calls, real = [], krr.kernel_matrix
+        monkeypatch.setattr(krr, "kernel_matrix", lambda A, B, sigma: calls.append(len(A)) or real(A, B, sigma))
+        model = fit(generate_synthetic(50, 0.1, seed=1), 0.5, 1e-3)
+        predict(model, np.linspace(-5.0, 5.0, 700).reshape(-1, 1))
+        assert calls == [256, 256, 188]
 
     def test_far_query_decays_to_zero(self):
         data = generate_synthetic(10, 0.1, seed=3)
